@@ -191,16 +191,27 @@ impl Journal {
     }
 
     /// Reads one VGJ1 file into the longest-valid-prefix snapshot.
-    /// `strict` controls what a bad magic means: the tail is `strict`
-    /// (resuming from a non-journal would be meaningless → error), the
-    /// compaction snapshot is not (a corrupt snapshot degrades into
-    /// recomputed work → every byte counted dropped).
+    /// A missing or empty file holds no records: the first append
+    /// creates the tail before it writes the magic, so a concurrent
+    /// reader can see it at 0 bytes. `strict` controls what a bad magic
+    /// means: the tail is `strict` (resuming from a non-journal would be
+    /// meaningless → error), the compaction snapshot is not (a corrupt
+    /// snapshot degrades into recomputed work → every byte counted
+    /// dropped).
     fn read_file(&self, path: &Path, strict: bool) -> io::Result<JournalSnapshot> {
-        let bytes = match fs::read(path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(JournalSnapshot::default()),
-            Err(e) => return Err(e),
-        };
+        match fs::read(path) {
+            Ok(bytes) => Self::parse_file(path, &bytes, strict),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(JournalSnapshot::default()),
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Parses the bytes of one VGJ1 file read from `path` (see
+    /// [`read_file`](Self::read_file) for `strict`).
+    fn parse_file(path: &Path, bytes: &[u8], strict: bool) -> io::Result<JournalSnapshot> {
+        if bytes.is_empty() {
+            return Ok(JournalSnapshot::default());
+        }
         if bytes.len() < JOURNAL_MAGIC.len() || &bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
             if strict {
                 return Err(io::Error::new(
@@ -236,9 +247,10 @@ impl Journal {
     }
 
     /// Reads and validates the journal, transparently merging the
-    /// compaction snapshot (if any) with the tail. A missing file is an
-    /// empty snapshot (a sweep that has not started yet); a present
-    /// tail must open with the `VGJ1` magic.
+    /// compaction snapshot (if any) with the tail. A missing or empty
+    /// file is an empty snapshot (a sweep that has not started yet, or
+    /// whose first append is still writing the magic); a non-empty tail
+    /// must open with the `VGJ1` magic.
     ///
     /// The tail is read *before* the snapshot: records only ever move
     /// tail → snapshot (under the append lock), so this ordering means
@@ -247,8 +259,8 @@ impl Journal {
     /// # Errors
     ///
     /// Returns the I/O error, or [`io::ErrorKind::InvalidData`] when the
-    /// tail file exists but does not start with the journal magic (it is
-    /// not a journal — resuming from it would be meaningless).
+    /// tail file is non-empty but does not start with the journal magic
+    /// (it is not a journal — resuming from it would be meaningless).
     pub fn read(&self) -> io::Result<JournalSnapshot> {
         let tail = self.read_file(&self.path, true)?;
         let snap = self.read_file(&self.snapshot_path(), false)?;
@@ -312,19 +324,7 @@ impl Journal {
             let mut bytes = Vec::new();
             file.seek(SeekFrom::Start(0))?;
             file.read_to_end(&mut bytes)?;
-            let journaled = if bytes.is_empty() {
-                false
-            } else {
-                if bytes.len() < JOURNAL_MAGIC.len()
-                    || &bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC
-                {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("{} is not a VGJ1 journal", self.path.display()),
-                    ));
-                }
-                parse_body(&bytes[JOURNAL_MAGIC.len()..]).contains(key)
-            };
+            let journaled = Self::parse_file(&self.path, &bytes, true)?.contains(key);
             if journaled || self.read_file(&self.snapshot_path(), false)?.contains(key) {
                 return Ok(false);
             }
@@ -552,6 +552,23 @@ mod tests {
         assert_eq!(snap.records.len(), 1);
         assert_eq!(snap.records[0].key, 0x1111);
         assert!(snap.dropped_bytes > 0);
+        cleanup(&j);
+    }
+
+    #[test]
+    fn empty_tail_is_an_empty_snapshot() {
+        // The first append creates the tail before writing the magic; a
+        // reader polling in between sees a 0-byte file.
+        let j = temp_journal("empty");
+        fs::create_dir_all(j.path().parent().unwrap()).unwrap();
+        fs::write(j.path(), b"").unwrap();
+        let snap = j.read().unwrap();
+        assert!(snap.records.is_empty());
+        assert_eq!(snap.dropped_bytes, 0);
+        assert!(j.append_new(7, b"first").unwrap());
+        let snap = j.read().unwrap();
+        assert_eq!(snap.records.len(), 1);
+        assert_eq!(snap.get(7), Some(&b"first"[..]));
         cleanup(&j);
     }
 
