@@ -9,77 +9,48 @@
 //!
 //! # Serial reference run (no workers, no journal):
 //! vanguard-sweep run --request sweep.req --serial
-//!
-//! # Long-running daemon: drop `<name>.req` files into the spool,
-//! # collect `<name>.out` (atomically published) when done:
-//! vanguard-sweep daemon --spool /tmp/sweeps
-//!
-//! # Pretty-print the daemon's status.json (exit 1 when absent):
-//! vanguard-sweep status --spool /tmp/sweeps
 //! ```
 //!
 //! Shard count defaults to `VANGUARD_SHARDS` (then 1). Exit codes:
-//! 0 success, 2 usage, 3 interrupted (`--fault-kill-after` tripped),
-//! 4 incomplete (workers exited with jobs still unjournaled).
+//! 0 success, 2 usage (including a malformed number), 3 interrupted
+//! (`--fault-kill-after` tripped), 4 incomplete (workers exited with
+//! jobs still unjournaled).
 
 use std::io::Write as _;
 use std::path::PathBuf;
-use vanguard_bench::sweep::{
-    self, claim_lease_from_env, run_daemon, run_sharded, ShardOptions, Sweep, SweepRequest,
-    SHARDS_ENV,
-};
-use vanguard_bench::sweepstatus::{now_ms, StatusSnapshot, STATUS_FILE};
+use std::str::FromStr;
+use vanguard_bench::sweep::{self, run_sharded, ShardOptions, Sweep, SweepRequest, SHARDS_ENV};
 use vanguard_core::engine::FaultPolicy;
-use vanguard_core::{DiskCache, Journal};
+use vanguard_core::Journal;
 
 fn usage() -> ! {
     eprintln!(
         "usage: vanguard-sweep run    --request FILE [--journal FILE] [--out FILE] \
-         [--shards N] [--serial] [--fault-kill-after N] [--fault-kill-count N] [--throttle-ms N]\n\
-         \x20      vanguard-sweep resume --request FILE --journal FILE [--out FILE] [--shards N]\n\
-         \x20      vanguard-sweep daemon --spool DIR [--shards N] [--once]\n\
-         \x20      vanguard-sweep status --spool DIR [--stale-ms N]"
+         [--shards N] [--serial] [--fault-kill-after N] [--throttle-ms N]\n\
+         \x20      vanguard-sweep resume --request FILE --journal FILE [--out FILE] [--shards N]"
     );
     std::process::exit(2);
 }
 
-/// `status` mode: pretty-print the daemon's `status.json`, or report a
-/// stale/absent daemon. Exits 1 when the file is missing or corrupt.
-fn status_main(args: &[String]) -> ! {
-    let Some(spool) = flag_value(args, "--spool").map(PathBuf::from) else {
-        usage();
-    };
-    let stale_ms: u64 = flag_value(args, "--stale-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5_000);
-    let path = spool.join(STATUS_FILE);
-    let text = match std::fs::read_to_string(&path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "[sweep] no status at {} ({e}); daemon not running?",
-                path.display()
-            );
-            std::process::exit(1);
-        }
-    };
-    let status = match StatusSnapshot::parse(&text) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("[sweep] bad status file {}: {e}", path.display());
-            std::process::exit(1);
-        }
-    };
-    let age_ms = now_ms().saturating_sub(status.updated_ms);
-    print!("{}", status.format_human(age_ms, stale_ms));
-    std::process::exit(0);
+fn flag_value(args: &[String], name: &str) -> Option<String> {
+    let i = args.iter().position(|a| a == name)?;
+    match args.get(i + 1) {
+        Some(v) => Some(v.clone()),
+        None => usage(),
+    }
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The numeric value of flag `name`, if given. A value that does not
+/// parse is a usage error, never a silent fallback.
+fn flag_number<T: FromStr>(args: &[String], name: &str) -> Option<T> {
+    let v = flag_value(args, name)?;
+    match v.parse() {
+        Ok(n) => Some(n),
+        Err(_) => {
+            eprintln!("[sweep] {name}: `{v}` is not a valid number");
+            usage();
+        }
+    }
 }
 
 fn default_shards() -> usize {
@@ -96,33 +67,25 @@ fn main() {
     let Some(mode) = args.first().map(String::as_str) else {
         usage();
     };
-    let shards = flag_value(&args, "--shards")
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(default_shards);
+    if mode != "run" && mode != "resume" {
+        usage();
+    }
+    let shards = match flag_number::<usize>(&args, "--shards") {
+        Some(0) => {
+            eprintln!("[sweep] --shards: must be at least 1");
+            usage();
+        }
+        Some(n) => n,
+        None => default_shards(),
+    };
+    let kill_after: Option<usize> = flag_number(&args, "--fault-kill-after");
+    let throttle_ms: Option<u64> = flag_number(&args, "--throttle-ms");
+    let serial = args.iter().any(|a| a == "--serial");
+    let out_path = flag_value(&args, "--out").map(PathBuf::from);
     let worker_exe = sweep::harness_worker_exe().unwrap_or_else(|e| {
         eprintln!("[sweep] cannot resolve worker executable: {e}");
         std::process::exit(1);
     });
-
-    if mode == "status" {
-        status_main(&args);
-    }
-    if mode == "daemon" {
-        let Some(spool) = flag_value(&args, "--spool").map(PathBuf::from) else {
-            usage();
-        };
-        let once = args.iter().any(|a| a == "--once");
-        let mut err = std::io::stderr();
-        if let Err(e) = run_daemon(&spool, &worker_exe, shards, once, &mut err) {
-            eprintln!("[sweep] daemon failed: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
-    if mode != "run" && mode != "resume" {
-        usage();
-    }
 
     let Some(request_path) = flag_value(&args, "--request").map(PathBuf::from) else {
         usage();
@@ -137,13 +100,6 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let serial = args.iter().any(|a| a == "--serial");
-    let kill_after: Option<usize> =
-        flag_value(&args, "--fault-kill-after").and_then(|v| v.parse().ok());
-    let kill_count: Option<usize> =
-        flag_value(&args, "--fault-kill-count").and_then(|v| v.parse().ok());
-    let throttle_ms: Option<u64> = flag_value(&args, "--throttle-ms").and_then(|v| v.parse().ok());
-    let out_path = flag_value(&args, "--out").map(PathBuf::from);
 
     let request_text = std::fs::read_to_string(&request_path).unwrap_or_else(|e| {
         eprintln!("[sweep] read {}: {e}", request_path.display());
@@ -178,18 +134,9 @@ fn main() {
     let merged = if serial {
         sweep.run_serial()
     } else {
-        // Startup self-heal: claims whose holder is gone (lock dead,
-        // lease expired) go to the cache quarantine before workers
-        // start, so a previous crash never wedges this run.
-        match DiskCache::new(&cache_dir).sweep_stale_claims(claim_lease_from_env()) {
-            Ok(0) => {}
-            Ok(n) => eprintln!("[sweep] swept {n} stale claims"),
-            Err(e) => eprintln!("[sweep] stale-claim sweep: {e}"),
-        }
         let journal = Journal::new(&journal_path);
         let mut opts = ShardOptions::new(worker_exe, shards, cache_dir);
         opts.kill_after = kill_after;
-        opts.kill_count = kill_count;
         opts.throttle_ms = throttle_ms;
         let mut err = std::io::stderr();
         let run = run_sharded(&sweep, &journal, &opts, &mut err).unwrap_or_else(|e| {

@@ -88,22 +88,10 @@ declare_fault_classes! {
     /// run twice and a merged output byte-identical to an uninterrupted
     /// serial run, at shard counts 1, 2, and 4.
     KillAndResume => "kill-and-resume",
-    /// A claim holder dies (`SIGKILL`) or wedges (live but silent)
-    /// mid-job; a peer must steal the claim once its lease runs out and
-    /// the sweep must finish in the *same* run — no manual resume, no
-    /// duplicate journal records, byte-identical merged output. Orphaned
-    /// claim files are swept to quarantine on startup.
-    DeadClaimHolder => "dead-claim-holder",
-    /// Workers are `SIGKILL`ed while the journal is compacting under a
-    /// tiny threshold; the snapshot + tail must survive the crash and
-    /// the resumed sweep must complete with no duplicate or resurrected
-    /// records and byte-identical merged output.
-    CompactionUnderKill => "compaction-under-kill",
-    /// The artifact cache hits disk pressure: stores fail outright
-    /// (simulated `ENOSPC` via a poisoned cache path) or a byte budget
-    /// evicts entries under the suite's feet. Both degrade to
-    /// compute-without-store — counted in `EngineStats`, never a job
-    /// failure, bit-identical results.
+    /// The artifact cache hits disk pressure: every store fails
+    /// (simulated `ENOSPC` via a poisoned cache path). The suite
+    /// degrades to compute-without-store — counted in `EngineStats`,
+    /// never a job failure, bit-identical results.
     CacheEnospc => "cache-enospc",
 }
 
@@ -655,19 +643,10 @@ fn kill_and_resume_class(seed: u64, scratch: &Path) -> ClassReport {
         }
     };
     let request = SweepRequest::ci_quick();
-    // The serial reference runs in its own cache directory: the
-    // byte-identity claim must not depend on artifacts the sharded
-    // runs produced.
-    let serial_dir = scratch.join("kill-resume-serial");
-    let _ = fs::remove_dir_all(&serial_dir);
-    let serial_policy = FaultPolicy {
-        cache_dir: Some(serial_dir.join("cache")),
-        ..isolated_policy()
-    };
-    let serial = match Sweep::build(request.clone(), serial_policy) {
-        Ok(sweep) => sweep.run_serial(),
-        Err(e) => {
-            push_check(&mut checks, "serial reference sweep builds", false, e);
+    let serial = match serial_reference(scratch, "kill-resume") {
+        Ok(s) => s,
+        Err(check) => {
+            checks.push(check);
             return report(checks, summary);
         }
     };
@@ -763,12 +742,11 @@ fn kill_and_resume_class(seed: u64, scratch: &Path) -> ClassReport {
         );
         let _ = fs::remove_dir_all(&dir);
     }
-    let _ = fs::remove_dir_all(&serial_dir);
     report(checks, summary)
 }
 
-/// Builds a serial-reference merged output for the sweep classes, in
-/// its own cache directory so the byte-identity claims never depend on
+/// Builds the serial-reference merged output of the CI quick sweep, in
+/// its own cache directory so the byte-identity claim never depends on
 /// artifacts a sharded run produced. Returns `Err(check)` with a failed
 /// check when the build fails.
 fn serial_reference(scratch: &Path, tag: &str) -> Result<String, Check> {
@@ -791,335 +769,18 @@ fn serial_reference(scratch: &Path, tag: &str) -> Result<String, Check> {
     out
 }
 
-/// Stages the dead-claim-holder class in three acts:
-///
-/// 1. **Wedged holder** — the harness itself claims a seed-chosen job
-///    and holds the (live) lock without heartbeating for the whole run.
-///    Workers under a 150 ms lease must report the claim `Expired`,
-///    steal the job, and finish the sweep with exactly one record.
-/// 2. **Dead holder** — one of two workers is `SIGKILL`ed mid-sweep.
-///    The OS releases its claim locks outright, the survivor (or a
-///    respawned fleet) takes over, and the *same* `run_sharded` call
-///    completes: no manual resume, no duplicates, byte-identical
-///    output. This is the acceptance scenario of DESIGN.md §7.12.
-/// 3. **Orphan sweep** — a stale unlocked claim file is swept to the
-///    cache quarantine by `sweep_stale_claims` once its lease expires.
-fn dead_claim_holder_class(seed: u64, scratch: &Path) -> ClassReport {
-    use crate::sweep::{self, ShardOptions, Sweep, SweepRequest, JOB_CLAIM_TAG};
-    use vanguard_core::{DiskCache, Journal};
-
-    let mut checks = Vec::new();
-    let mut summary = String::new();
-    let report = |checks, summary| ClassReport {
-        class: FaultClass::DeadClaimHolder,
-        checks,
-        summary,
-    };
-    let worker_exe = match sweep::harness_worker_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            push_check(
-                &mut checks,
-                "worker executable resolves",
-                false,
-                e.to_string(),
-            );
-            return report(checks, summary);
-        }
-    };
-    let serial = match serial_reference(scratch, "dead-claim") {
-        Ok(s) => s,
-        Err(check) => {
-            checks.push(check);
-            return report(checks, summary);
-        }
-    };
-
-    // Act 1: a live-but-wedged holder. The harness claim never
-    // heartbeats, so its mtime ages past the 150 ms worker lease.
-    {
-        let dir = scratch.join("dead-claim-wedged");
-        let _ = fs::remove_dir_all(&dir);
-        let cache_dir = dir.join("cache");
-        let policy = FaultPolicy {
-            cache_dir: Some(cache_dir.clone()),
-            ..isolated_policy()
-        };
-        match Sweep::build(SweepRequest::ci_quick(), policy) {
-            Ok(sweep_run) => {
-                let victim = sweep_run.plan()[seed as usize % sweep_run.plan().len()].key;
-                let claims = DiskCache::new(&cache_dir);
-                let wedged = claims.try_claim(JOB_CLAIM_TAG, victim);
-                push_check(
-                    &mut checks,
-                    "harness wedges a live claim holder",
-                    matches!(wedged, Ok(Some(_))),
-                    format!("victim job {victim:016x}"),
-                );
-                let journal = Journal::new(dir.join("journal.vgj"));
-                let mut opts = ShardOptions::new(worker_exe.clone(), 2, cache_dir.clone());
-                opts.lease_ms = Some(150);
-                opts.throttle_ms = Some(10);
-                let mut sink = std::io::sink();
-                let run = sweep::run_sharded(&sweep_run, &journal, &opts, &mut sink);
-                let healed = matches!(&run, Ok(r) if r.complete() && !r.killed);
-                push_check(
-                    &mut checks,
-                    "lease expiry steals the wedged job in-run",
-                    healed,
-                    format!("{run:?}"),
-                );
-                let snapshot = journal.read().unwrap_or_default();
-                push_check(
-                    &mut checks,
-                    "steal produced no duplicate records",
-                    snapshot.duplicate_keys().is_empty()
-                        && snapshot.records.len() == sweep_run.plan().len(),
-                    format!(
-                        "{} records, duplicates {:?}",
-                        snapshot.records.len(),
-                        snapshot.duplicate_keys()
-                    ),
-                );
-                let merged = sweep_run.merged(&snapshot);
-                push_check(
-                    &mut checks,
-                    "wedged-holder output byte-identical to serial",
-                    merged.as_deref() == Ok(serial.as_str()),
-                    format!("{} bytes expected", serial.len()),
-                );
-                let _ = writeln!(
-                    summary,
-                    "wedged: {}/{} jobs after steal",
-                    snapshot.records.len(),
-                    sweep_run.plan().len()
-                );
-                drop(wedged);
-            }
-            Err(e) => push_check(&mut checks, "wedged-holder sweep builds", false, e),
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    // Act 2: a SIGKILLed holder. kill_count = 1 wounds the fleet
-    // without aborting the parent — the run must self-heal in place.
-    {
-        let dir = scratch.join("dead-claim-killed");
-        let _ = fs::remove_dir_all(&dir);
-        let cache_dir = dir.join("cache");
-        let policy = FaultPolicy {
-            cache_dir: Some(cache_dir.clone()),
-            ..isolated_policy()
-        };
-        match Sweep::build(SweepRequest::ci_quick(), policy) {
-            Ok(sweep_run) => {
-                let journal = Journal::new(dir.join("journal.vgj"));
-                let mut opts = ShardOptions::new(worker_exe.clone(), 2, cache_dir.clone());
-                opts.kill_after = Some(1);
-                opts.kill_count = Some(1);
-                opts.throttle_ms = Some(40);
-                opts.lease_ms = Some(150);
-                let mut sink = std::io::sink();
-                let run = sweep::run_sharded(&sweep_run, &journal, &opts, &mut sink);
-                let healed = matches!(&run, Ok(r) if r.complete() && !r.killed);
-                push_check(
-                    &mut checks,
-                    "SIGKILLed shard self-heals with no resume",
-                    healed,
-                    format!("{run:?}"),
-                );
-                let snapshot = journal.read().unwrap_or_default();
-                push_check(
-                    &mut checks,
-                    "self-heal produced no duplicate records",
-                    snapshot.duplicate_keys().is_empty(),
-                    format!(
-                        "{} records, duplicates {:?}",
-                        snapshot.records.len(),
-                        snapshot.duplicate_keys()
-                    ),
-                );
-                let merged = sweep_run.merged(&snapshot);
-                push_check(
-                    &mut checks,
-                    "self-healed output byte-identical to serial",
-                    merged.as_deref() == Ok(serial.as_str()),
-                    format!("{} bytes expected", serial.len()),
-                );
-                let _ = writeln!(
-                    summary,
-                    "killed: {}/{} jobs after self-heal",
-                    snapshot.records.len(),
-                    sweep_run.plan().len()
-                );
-            }
-            Err(e) => push_check(&mut checks, "killed-holder sweep builds", false, e),
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    // Act 3: orphaned claim debris is swept to quarantine on startup.
-    {
-        let cache_dir = scratch.join("dead-claim-orphan");
-        let _ = fs::remove_dir_all(&cache_dir);
-        let _ = fs::create_dir_all(&cache_dir);
-        let orphan = cache_dir.join(format!("claim-{JOB_CLAIM_TAG}-{:016x}.lock", 0xdead_u64));
-        let _ = fs::write(&orphan, b"orphan");
-        std::thread::sleep(Duration::from_millis(120));
-        let cache = DiskCache::new(&cache_dir);
-        let swept = cache.sweep_stale_claims(Duration::from_millis(100));
-        let quarantined = cache_dir
-            .join("quarantine")
-            .join(orphan.file_name().unwrap_or_default())
-            .is_file();
-        push_check(
-            &mut checks,
-            "stale orphan claim swept to quarantine",
-            matches!(swept, Ok(1)) && !orphan.exists() && quarantined,
-            format!("swept = {swept:?}"),
-        );
-        let _ = fs::remove_dir_all(&cache_dir);
-    }
-    report(checks, summary)
-}
-
-/// Stages the compaction-under-kill class: a sharded sweep runs with a
-/// deliberately tiny journal-compaction threshold so snapshots are cut
-/// mid-run, the whole fleet is `SIGKILL`ed, and the resumed sweep (still
-/// compacting) must complete off the snapshot + tail with no duplicate
-/// or resurrected records and a merged output byte-identical to serial.
-fn compaction_under_kill_class(seed: u64, scratch: &Path) -> ClassReport {
-    use crate::sweep::{self, ShardOptions, Sweep, SweepRequest};
-    use vanguard_core::Journal;
-
-    const COMPACT_BYTES: u64 = 256;
-    let mut checks = Vec::new();
-    let mut summary = String::new();
-    let report = |checks, summary| ClassReport {
-        class: FaultClass::CompactionUnderKill,
-        checks,
-        summary,
-    };
-    let worker_exe = match sweep::harness_worker_exe() {
-        Ok(exe) => exe,
-        Err(e) => {
-            push_check(
-                &mut checks,
-                "worker executable resolves",
-                false,
-                e.to_string(),
-            );
-            return report(checks, summary);
-        }
-    };
-    let serial = match serial_reference(scratch, "compact-kill") {
-        Ok(s) => s,
-        Err(check) => {
-            checks.push(check);
-            return report(checks, summary);
-        }
-    };
-
-    let dir = scratch.join("compact-kill");
-    let _ = fs::remove_dir_all(&dir);
-    let cache_dir = dir.join("cache");
-    let policy = FaultPolicy {
-        cache_dir: Some(cache_dir.clone()),
-        ..isolated_policy()
-    };
-    let sweep_run = match Sweep::build(SweepRequest::ci_quick(), policy) {
-        Ok(s) => s,
-        Err(e) => {
-            push_check(&mut checks, "sharded sweep builds", false, e);
-            return report(checks, summary);
-        }
-    };
-    let total = sweep_run.plan().len();
-    let journal = Journal::new(dir.join("journal.vgj"));
-    let kill_after = 1 + (seed as usize % 2);
-    let mut sink = std::io::sink();
-    let mut kill_opts = ShardOptions::new(worker_exe.clone(), 2, cache_dir.clone());
-    kill_opts.kill_after = Some(kill_after);
-    kill_opts.throttle_ms = Some(40);
-    kill_opts.compact_bytes = Some(COMPACT_BYTES);
-    let first = sweep::run_sharded(&sweep_run, &journal, &kill_opts, &mut sink);
-    let partial = matches!(&first, Ok(run) if run.killed && run.completed < total);
-    push_check(
-        &mut checks,
-        "SIGKILL mid-compaction leaves a partial journal",
-        partial,
-        format!("kill after {kill_after} -> {first:?} of {total} jobs"),
-    );
-    let mut resume_opts = ShardOptions::new(worker_exe, 2, cache_dir);
-    resume_opts.compact_bytes = Some(COMPACT_BYTES);
-    let second = sweep::run_sharded(&sweep_run, &journal, &resume_opts, &mut sink);
-    push_check(
-        &mut checks,
-        "resume completes over the compacted journal",
-        matches!(&second, Ok(run) if run.complete()),
-        format!("{second:?}"),
-    );
-    push_check(
-        &mut checks,
-        "compaction actually fired (snapshot on disk)",
-        journal.snapshot_path().is_file(),
-        journal.snapshot_path().display().to_string(),
-    );
-    match journal.read() {
-        Ok(snapshot) => {
-            let duplicates = snapshot.duplicate_keys();
-            push_check(
-                &mut checks,
-                "no duplicate or resurrected records",
-                duplicates.is_empty() && snapshot.records.len() == total,
-                format!(
-                    "{} records of {total}, duplicates {duplicates:?}",
-                    snapshot.records.len()
-                ),
-            );
-            let merged = sweep_run.merged(&snapshot);
-            push_check(
-                &mut checks,
-                "merged output byte-identical to serial run",
-                merged.as_deref() == Ok(serial.as_str()),
-                format!("{} bytes expected", serial.len()),
-            );
-            let first_completed = first.map(|r| r.completed).unwrap_or(0);
-            let _ = writeln!(
-                summary,
-                "killed at {first_completed}/{total} (threshold {COMPACT_BYTES} B), \
-                 resumed to {}/{total}",
-                snapshot.records.len()
-            );
-        }
-        Err(e) => push_check(
-            &mut checks,
-            "journal readable after resume",
-            false,
-            e.to_string(),
-        ),
-    }
-    let _ = fs::remove_dir_all(&dir);
-    report(checks, summary)
-}
-
-/// Stages the cache-ENOSPC class in two acts:
-///
-/// 1. **Failed stores** — the cache directory path runs *through a
-///    regular file*, so every create fails (`ENOTDIR` stands in for
-///    `ENOSPC`; permission bits are useless under root). The suite must
-///    complete bit-identically, degrading to compute-without-store and
-///    counting the failures.
-/// 2. **Budget eviction** — a 1-byte `VANGUARD_CACHE_BUDGET`-style
-///    budget evicts every unclaimed entry as it lands. The suite must
-///    still complete bit-identically, with evictions counted.
+/// Stages the cache-ENOSPC class: the cache directory path runs
+/// *through a regular file*, so every create fails (`ENOTDIR` stands in
+/// for `ENOSPC`; permission bits are useless under root). The suite must
+/// complete bit-identically, degrading to compute-without-store and
+/// counting the failures.
 fn cache_enospc_class(scratch: &Path, clean: &[SimStats]) -> ClassReport {
     let mut checks = Vec::new();
     let dir = scratch.join("cache-enospc");
     let _ = fs::remove_dir_all(&dir);
     let _ = fs::create_dir_all(&dir);
 
-    // Act 1: a poisoned cache path — every store (and load) errors.
+    // A poisoned cache path — every store (and load) errors.
     let blocker = dir.join("blocker");
     let _ = fs::write(&blocker, b"not a directory");
     let mut policy = isolated_policy();
@@ -1150,29 +811,6 @@ fn cache_enospc_class(scratch: &Path, clean: &[SimStats]) -> ClassReport {
         stats.summary(),
     );
 
-    // Act 2: a 1-byte budget — every store lands, then is evicted.
-    let mut budget_policy = isolated_policy();
-    budget_policy.cache_dir = Some(dir.join("budget-cache"));
-    budget_policy.cache_budget = Some(1);
-    let (budget_engine, budget_jobs, _) = engine_with_suite(None, budget_policy);
-    let budget_results = run_all(&budget_engine, &budget_jobs);
-    let budget_stats = budget_engine.stats();
-    let (same, detail) = suite_identical(&budget_results, clean);
-    push_check(
-        &mut checks,
-        "budget eviction does not perturb results",
-        same,
-        detail,
-    );
-    push_check(
-        &mut checks,
-        "evictions counted, zero job failures",
-        budget_stats.cache_evictions >= 1 && budget_stats.jobs_failed == 0,
-        format!(
-            "cache_evictions = {}, jobs_failed = {}",
-            budget_stats.cache_evictions, budget_stats.jobs_failed
-        ),
-    );
     let _ = fs::remove_dir_all(&dir);
     ClassReport {
         class: FaultClass::CacheEnospc,
@@ -1193,8 +831,6 @@ pub fn run_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats
             cache_class(class, seed, scratch, clean)
         }
         FaultClass::KillAndResume => kill_and_resume_class(seed, scratch),
-        FaultClass::DeadClaimHolder => dead_claim_holder_class(seed, scratch),
-        FaultClass::CompactionUnderKill => compaction_under_kill_class(seed, scratch),
         FaultClass::CacheEnospc => cache_enospc_class(scratch, clean),
     }
 }
@@ -1210,10 +846,6 @@ pub fn measure_overhead(rounds: usize) -> OverheadReport {
             if armed {
                 policy.max_cycles = Some(u64::MAX / 2);
                 policy.job_timeout = Some(Duration::from_secs(3600));
-                // A non-evicting cache budget arms the disk-pressure
-                // accounting path too, keeping the gate honest for the
-                // full robustness configuration.
-                policy.cache_budget = Some(u64::MAX / 2);
             }
             let (engine, jobs, _) = engine_with_suite(None, policy);
             run_all(&engine, &jobs);

@@ -5,30 +5,21 @@
 //! [`PlannedJob`]s, each keyed by the engine's content-addressed
 //! [`job_key`](vanguard_core::engine::Engine::job_key). The service
 //! runs that list across `VANGUARD_SHARDS` worker *processes* that
-//! steal work off a shared [`Journal`]:
+//! take work off a shared [`Journal`]:
 //!
 //! * every completed job appends one checksummed record (key →
-//!   encoded outcome) to the journal, under an exclusive file lock;
+//!   encoded outcome) to the journal with [`Journal::append_new`],
+//!   under an exclusive file lock, so a job is journaled at most once;
 //! * workers claim jobs with non-blocking OS file locks in the shared
-//!   `VANGUARD_CACHE_DIR` store ([`DiskCache::try_claim_leased`]), so
-//!   two workers never run the same job and a `SIGKILL`ed worker's
-//!   claim evaporates with it;
-//! * claims carry a *lease* (`VANGUARD_CLAIM_LEASE_MS`): the holder's
-//!   heartbeat thread refreshes the claim file's mtime, and a live
-//!   worker treats a claim whose lease expired as dead and **steals**
-//!   the job — [`Journal::append_new`] dedups under the append lock,
-//!   so even a wedged-then-revived holder can't journal a duplicate;
+//!   `VANGUARD_CACHE_DIR` store ([`DiskCache::try_claim`]), so two live
+//!   workers never run the same job, and a `SIGKILL`ed worker's claim
+//!   evaporates with it (the kernel drops the lock);
 //! * compiled pairs and program images are content-addressed in the
 //!   same store, so concurrent workers share artifacts instead of
-//!   recompiling them;
-//! * when a whole worker fleet dies mid-sweep, the parent respawns it
-//!   (up to [`ShardOptions::max_respawns`]) — the new fleet steals the
-//!   dead claims and finishes with no manual `resume`.
+//!   recompiling them.
 //!
-//! The daemon adds poison-request quarantine (a request that repeatedly
-//! crashes its workers moves to `spool/quarantine/` with a replayable
-//! reproducer after `VANGUARD_SWEEP_MAX_STRIKES` strikes) and publishes
-//! a [`status.json`](crate::sweepstatus) endpoint for pollers.
+//! An interrupted sweep resumes by running again over its journal:
+//! journaled jobs are never re-run.
 //!
 //! The invariant the whole design serves: the merged result of a
 //! sharded run — at any shard count, across any kill/resume split — is
@@ -36,39 +27,31 @@
 //! request. The `kill-and-resume` fault class and the CI `sweep-resume`
 //! job enforce it.
 //!
-//! The module is the library behind the `vanguard-sweep` binary (one-
-//! shot runs, `--resume`, and a request-file-drop daemon) and the
-//! kill-and-resume scenario of [`crate::faultinject`].
+//! The module is the library behind the `vanguard-sweep` binary
+//! (`run`, `resume`, `--serial`) and the kill-and-resume scenario of
+//! [`crate::faultinject`].
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::fs::{self, OpenOptions};
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use vanguard_core::engine::{
     Engine, FaultPolicy, JobResult, PredictorKind, SimJob, SweepCell, Variant,
     DEFAULT_MAX_PROFILE_STEPS,
 };
-use vanguard_core::journal::COMPACT_BYTES_ENV;
-use vanguard_core::{
-    ClaimAttempt, DiskCache, Journal, JournalSnapshot, TransformKind, TransformOptions,
-};
+use vanguard_core::{DiskCache, Journal, JournalSnapshot, TransformKind, TransformOptions};
 use vanguard_sim::{MachineConfig, SimStats};
 use vanguard_workloads::suite;
 
-use crate::sweepstatus::{DaemonStatus, HEARTBEAT_PREFIX};
 use crate::{quick_spec, to_experiment_input, BenchScale};
 
 /// First line of a sweep request file.
 pub const REQUEST_MAGIC: &str = "VGS1";
 
-/// Claim-file namespace for in-flight sweep jobs (public so the fault
-/// harness can wedge a claim and prove the lease-steal path).
-pub const JOB_CLAIM_TAG: &str = "job";
+/// Claim-file namespace for in-flight sweep jobs.
+const JOB_CLAIM_TAG: &str = "job";
 
 /// Env var marking a process as a sweep worker (set by the parent on
 /// the re-exec'd children; checked by [`maybe_run_worker`]).
@@ -81,47 +64,18 @@ pub const JOURNAL_ENV: &str = "VANGUARD_SWEEP_JOURNAL";
 /// injector can reliably observe (and kill) a sweep mid-flight.
 pub const THROTTLE_ENV: &str = "VANGUARD_SWEEP_THROTTLE_MS";
 /// Env var: default worker-process count for the `vanguard-sweep`
-/// binary and the daemon.
+/// binary.
 pub const SHARDS_ENV: &str = "VANGUARD_SHARDS";
 /// Env var: worker executable override for harnesses whose own binary
 /// has no [`maybe_run_worker`] hook (libtest binaries must never
 /// re-exec themselves — that would recursively run the test suite).
 pub const WORKER_EXE_ENV: &str = "VANGUARD_SWEEP_WORKER_EXE";
-/// Env var: claim-lease duration in milliseconds. A claim whose
-/// heartbeat is older than this is treated as dead and its job stolen.
-pub const LEASE_ENV: &str = "VANGUARD_CLAIM_LEASE_MS";
-/// Default claim lease: long enough that a healthy worker's heartbeat
-/// (lease/4) never lapses under load, short enough that a dead shard's
-/// jobs are stolen within a minute.
-pub const DEFAULT_LEASE_MS: u64 = 30_000;
-/// Env var: crashes a spool request survives before quarantine.
-pub const MAX_STRIKES_ENV: &str = "VANGUARD_SWEEP_MAX_STRIKES";
-/// Default strike limit before a crashing request is quarantined.
-pub const DEFAULT_MAX_STRIKES: u32 = 3;
 /// Env var (fault injection): once the journal holds this many records,
-/// workers stop taking jobs and wait for the parent's SIGKILL (released
-/// by the marker file from [`kill_marker`]). Without the hold the fleet
-/// races the parent's poll loop and can finish the sweep before the
-/// kill lands, turning every kill-based gate flaky under load.
+/// workers stop taking jobs and wait for the parent's SIGKILL. Without
+/// the hold the fleet races the parent's poll loop and can finish the
+/// sweep before the kill lands, turning every kill-based gate flaky
+/// under load.
 pub const KILL_HOLD_ENV: &str = "VANGUARD_SWEEP_KILL_HOLD";
-
-/// The marker the parent drops next to the journal right before firing
-/// its `kill_after` SIGKILL: held workers (see [`KILL_HOLD_ENV`])
-/// resume when it appears, so wound-mode survivors finish the sweep.
-pub fn kill_marker(journal: &Path) -> PathBuf {
-    PathBuf::from(format!("{}.kill-fired", journal.display()))
-}
-
-/// The claim lease from `VANGUARD_CLAIM_LEASE_MS` (default
-/// [`DEFAULT_LEASE_MS`]; zero and garbage fall back to the default).
-pub fn claim_lease_from_env() -> Duration {
-    let ms = std::env::var(LEASE_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-        .unwrap_or(DEFAULT_LEASE_MS);
-    Duration::from_millis(ms)
-}
 
 /// Stable CLI name of a predictor rung.
 pub fn predictor_name(p: PredictorKind) -> &'static str {
@@ -454,7 +408,7 @@ impl Sweep {
             predictor_name(pj.job.predictor),
             pj.job.machine.width,
             self.bench_names
-                .get(self.bench_index(pj.job.bench))
+                .get(pj.job.bench)
                 .map(String::as_str)
                 .unwrap_or("?"),
             pj.job.ref_input,
@@ -464,12 +418,6 @@ impl Sweep {
             },
             payload
         )
-    }
-
-    fn bench_index(&self, bench: usize) -> usize {
-        // Benchmarks are registered in order, so engine ids are plan
-        // indices; keep the mapping explicit in case that ever changes.
-        bench
     }
 
     /// Runs every planned job serially in-process, in plan order — the
@@ -599,21 +547,10 @@ pub fn maybe_run_worker() {
     std::process::exit(worker_main());
 }
 
-/// Bumps a claim file's mtime (the lease heartbeat) from the holder's
-/// heartbeat thread. The holder's own OS lock does not block its own
-/// writes, and peers only read the mtime.
-fn touch(path: &Path) {
-    if let Ok(mut f) = OpenOptions::new().append(true).open(path) {
-        let _ = f.write_all(b"hb");
-    }
-}
-
-/// The worker loop: parse the request from the environment, then steal
-/// unjournaled jobs via non-blocking leased claims until the journal
-/// covers the whole plan. A heartbeat thread keeps the worker's
-/// `hb-<pid>` liveness file and its currently-held claim fresh; claims
-/// whose holder stopped heartbeating for a full lease are stolen, with
-/// [`Journal::append_new`] guaranteeing at most one record per job.
+/// The worker loop: parse the request from the environment, then take
+/// unjournaled jobs via non-blocking claims until the journal covers
+/// the whole plan. [`Journal::append_new`] guarantees at most one
+/// record per job.
 fn worker_main() -> i32 {
     let fail = |msg: String| -> i32 {
         eprintln!("[sweep-worker] {msg}");
@@ -645,56 +582,21 @@ fn worker_main() -> i32 {
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
         .unwrap_or(0);
-    let lease = claim_lease_from_env();
     // Fault injection: once the journal holds this many records, stop
-    // taking jobs and wait to be SIGKILLed (or for the parent's marker
-    // saying the kill already fired). This is what makes kill-based
+    // taking jobs and wait to be SIGKILLed. This is what makes kill-based
     // gates deterministic — the fleet cannot finish before the kill.
     let hold_limit = std::env::var(KILL_HOLD_ENV)
         .ok()
         .and_then(|v| v.parse::<usize>().ok());
-    let marker = kill_marker(journal.path());
-
-    // Heartbeat thread: refreshes this worker's liveness file and the
-    // claim it currently holds, every quarter-lease. If this process is
-    // SIGKILLed the heartbeats stop, the lease runs out, and a peer
-    // steals the job — that is the self-healing path.
-    let current_claim: Arc<Mutex<Option<PathBuf>>> = Arc::new(Mutex::new(None));
-    let hb_path = cache_dir.join(format!("{HEARTBEAT_PREFIX}{}", std::process::id()));
-    let stop = Arc::new(AtomicBool::new(false));
-    {
-        let current = Arc::clone(&current_claim);
-        let hb = hb_path.clone();
-        let stop = Arc::clone(&stop);
-        let period = Duration::from_millis((lease.as_millis() as u64 / 4).max(25));
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                let _ = fs::write(&hb, b"hb");
-                if let Ok(slot) = current.lock() {
-                    if let Some(path) = slot.as_deref() {
-                        touch(path);
-                    }
-                }
-                std::thread::sleep(period);
-            }
-        });
-    }
-    let finish = |code: i32| -> i32 {
-        stop.store(true, Ordering::Relaxed);
-        let _ = fs::remove_file(&hb_path);
-        code
-    };
 
     loop {
         let snapshot = match journal.read() {
             Ok(s) => s,
-            Err(e) => return finish(fail(format!("journal read: {e}"))),
+            Err(e) => return fail(format!("journal read: {e}")),
         };
-        if let Some(limit) = hold_limit {
-            if snapshot.records.len() >= limit && !marker.exists() {
-                std::thread::sleep(Duration::from_millis(5));
-                continue;
-            }
+        if hold_limit.is_some_and(|limit| snapshot.records.len() >= limit) {
+            std::thread::sleep(Duration::from_millis(5));
+            continue;
         }
         let mut remaining = false;
         let mut ran = false;
@@ -703,44 +605,36 @@ fn worker_main() -> i32 {
                 continue;
             }
             remaining = true;
-            let guard = match claims.try_claim_leased(JOB_CLAIM_TAG, pj.key, lease) {
-                Ok(ClaimAttempt::Won(guard)) => Some(guard),
-                // Lease expired: the holder stopped heartbeating (dead
-                // or wedged). Steal the job — append_new dedups if the
-                // holder somehow revives and finishes too.
-                Ok(ClaimAttempt::Expired) => None,
-                // A live worker owns it; steal the next one instead.
-                Ok(ClaimAttempt::Held) => continue,
-                Err(e) => return finish(fail(format!("claim: {e}"))),
+            let guard = match claims.try_claim(JOB_CLAIM_TAG, pj.key) {
+                Ok(Some(guard)) => guard,
+                // A live worker owns it; take the next one instead.
+                Ok(None) => continue,
+                Err(e) => return fail(format!("claim: {e}")),
             };
             // Re-check under the claim: a previous holder may have
-            // journaled this job after our snapshot.
+            // journaled this job after our snapshot, or the fleet may
+            // have reached the kill hold mid-pass.
             match journal.read() {
                 Ok(fresh) if fresh.contains(pj.key) => continue,
+                Ok(fresh) if hold_limit.is_some_and(|limit| fresh.records.len() >= limit) => break,
                 Ok(_) => {}
-                Err(e) => return finish(fail(format!("journal read: {e}"))),
-            }
-            if let (Some(g), Ok(mut slot)) = (&guard, current_claim.lock()) {
-                *slot = Some(g.path().to_path_buf());
+                Err(e) => return fail(format!("journal read: {e}")),
             }
             if throttle > 0 {
                 std::thread::sleep(Duration::from_millis(throttle));
             }
             let payload = sweep.run_job(pj);
             let appended = journal.append_new(pj.key, payload.as_bytes());
-            if let Ok(mut slot) = current_claim.lock() {
-                *slot = None;
-            }
             drop(guard);
             match appended {
-                // false = the original holder raced us to the journal;
-                // either way the job is recorded exactly once.
+                // false = another worker journaled it first; either way
+                // the job is recorded exactly once.
                 Ok(_) => ran = true,
-                Err(e) => return finish(fail(format!("journal append: {e}"))),
+                Err(e) => return fail(format!("journal append: {e}")),
             }
         }
         if !remaining {
-            return finish(0);
+            return 0;
         }
         if !ran {
             // Everything left is claimed by other workers; let them run.
@@ -769,7 +663,7 @@ impl ShardedRun {
 }
 
 /// Options for [`run_sharded`]. Construct with [`ShardOptions::new`]
-/// and override the fault-injection and tuning fields as needed.
+/// and override the fault-injection fields as needed.
 #[derive(Debug)]
 pub struct ShardOptions {
     /// Worker executable to spawn ([`harness_worker_exe`] resolves it).
@@ -778,36 +672,16 @@ pub struct ShardOptions {
     pub shards: usize,
     /// Shared artifact store + claim directory for the workers.
     pub cache_dir: PathBuf,
-    /// `SIGKILL` workers once this many jobs are journaled (fault
-    /// injection); `None` runs to completion.
+    /// `SIGKILL` every worker once this many jobs are journaled and
+    /// abort the run (fault injection); `None` runs to completion.
     pub kill_after: Option<usize>,
-    /// How many workers the `kill_after` SIGKILL hits. `None` kills the
-    /// whole fleet and aborts the run (the classic kill-and-resume
-    /// scenario); `Some(k)` kills `k` workers and lets the run
-    /// self-heal — the survivors (or a respawned fleet) steal the dead
-    /// workers' claims once their leases expire.
-    pub kill_count: Option<usize>,
     /// Per-job worker throttle in milliseconds (fault injection needs
     /// the sweep to be observable mid-flight).
     pub throttle_ms: Option<u64>,
-    /// Claim lease override passed to workers (`VANGUARD_CLAIM_LEASE_MS`);
-    /// `None` inherits the environment.
-    pub lease_ms: Option<u64>,
-    /// Journal compaction threshold override passed to workers
-    /// (`VANGUARD_JOURNAL_COMPACT_BYTES`); `None` inherits.
-    pub compact_bytes: Option<u64>,
-    /// Fleet respawns when every worker exits with the plan incomplete
-    /// and the run was not deliberately aborted — the self-healing
-    /// backstop for a fully-dead fleet.
-    pub max_respawns: usize,
-    /// Live status publisher (daemon mode); `None` skips publishing.
-    pub status: Option<Arc<DaemonStatus>>,
 }
 
 impl ShardOptions {
-    /// Options with the production defaults: no fault injection, no
-    /// throttle, environment-inherited lease/compaction, and two fleet
-    /// respawns.
+    /// Options with no fault injection and no throttle.
     pub fn new(
         worker_exe: impl Into<PathBuf>,
         shards: usize,
@@ -818,12 +692,7 @@ impl ShardOptions {
             shards,
             cache_dir: cache_dir.into(),
             kill_after: None,
-            kill_count: None,
             throttle_ms: None,
-            lease_ms: None,
-            compact_bytes: None,
-            max_respawns: 2,
-            status: None,
         }
     }
 }
@@ -845,50 +714,28 @@ pub fn run_sharded(
 ) -> io::Result<ShardedRun> {
     let total = sweep.plan().len();
     let by_key: HashMap<u64, &PlannedJob> = sweep.plan().iter().map(|pj| (pj.key, pj)).collect();
-    let spawn_fleet = || -> io::Result<Vec<Child>> {
-        (0..opts.shards.max(1))
-            .map(|_| {
-                let mut cmd = Command::new(&opts.worker_exe);
-                cmd.env(WORKER_ENV, "1")
-                    .env(REQUEST_ENV, sweep.request().render())
-                    .env(JOURNAL_ENV, journal.path())
-                    .env("VANGUARD_CACHE_DIR", &opts.cache_dir)
-                    .stdin(Stdio::null())
-                    .stdout(Stdio::null());
-                match opts.throttle_ms {
-                    Some(ms) => cmd.env(THROTTLE_ENV, ms.to_string()),
-                    None => cmd.env_remove(THROTTLE_ENV),
-                };
-                if let Some(ms) = opts.lease_ms {
-                    cmd.env(LEASE_ENV, ms.to_string());
-                }
-                if let Some(bytes) = opts.compact_bytes {
-                    cmd.env(COMPACT_BYTES_ENV, bytes.to_string());
-                }
-                match opts.kill_after {
-                    Some(limit) => cmd.env(KILL_HOLD_ENV, limit.to_string()),
-                    None => cmd.env_remove(KILL_HOLD_ENV),
-                };
-                cmd.spawn()
-            })
-            .collect()
-    };
-    let completed_of = |snapshot: &JournalSnapshot| -> usize {
-        sweep
-            .plan()
-            .iter()
-            .filter(|pj| snapshot.contains(pj.key))
-            .count()
-    };
-    let marker = kill_marker(journal.path());
-    if opts.kill_after.is_some() {
-        let _ = fs::remove_file(&marker); // stale marker from a prior run
-    }
-    let mut children = spawn_fleet()?;
+    let mut children: Vec<Child> = (0..opts.shards.max(1))
+        .map(|_| {
+            let mut cmd = Command::new(&opts.worker_exe);
+            cmd.env(WORKER_ENV, "1")
+                .env(REQUEST_ENV, sweep.request().render())
+                .env(JOURNAL_ENV, journal.path())
+                .env("VANGUARD_CACHE_DIR", &opts.cache_dir)
+                .stdin(Stdio::null())
+                .stdout(Stdio::null());
+            match opts.throttle_ms {
+                Some(ms) => cmd.env(THROTTLE_ENV, ms.to_string()),
+                None => cmd.env_remove(THROTTLE_ENV),
+            };
+            match opts.kill_after {
+                Some(limit) => cmd.env(KILL_HOLD_ENV, limit.to_string()),
+                None => cmd.env_remove(KILL_HOLD_ENV),
+            };
+            cmd.spawn()
+        })
+        .collect::<io::Result<_>>()?;
     let mut streamed = 0usize;
     let mut killed = false;
-    let mut kill_fired = false;
-    let mut respawns_left = opts.max_respawns;
     loop {
         let snapshot = journal.read()?;
         for record in snapshot.records.iter().skip(streamed) {
@@ -897,259 +744,34 @@ pub fn run_sharded(
                 writeln!(stream, "{}", sweep.line(pj, &payload))?;
             }
         }
-        if snapshot.records.len() != streamed {
-            streamed = snapshot.records.len();
-            if let Some(status) = &opts.status {
-                status.set_jobs(completed_of(&snapshot) as u64, total as u64);
-                let _ = status.publish();
+        streamed = snapshot.records.len();
+        if !killed && opts.kill_after.is_some_and(|limit| streamed >= limit) {
+            // SIGKILL, not a graceful shutdown: the point is to prove
+            // the claims + journal survive the worst interruption.
+            for child in &mut children {
+                let _ = child.kill();
             }
+            killed = true;
         }
-        if let Some(limit) = opts.kill_after {
-            if !kill_fired && snapshot.records.len() >= limit {
-                // SIGKILL, not a graceful shutdown: the point is to
-                // prove the claims + journal survive the worst
-                // interruption. kill_count=None aborts the whole run;
-                // Some(k) wounds the fleet and expects it to self-heal.
-                // The marker releases held survivors (KILL_HOLD_ENV)
-                // so wound mode completes after the kill.
-                let _ = fs::write(&marker, b"kill");
-                let victims = opts
-                    .kill_count
-                    .unwrap_or(children.len())
-                    .min(children.len());
-                for child in children.iter_mut().take(victims) {
-                    let _ = child.kill();
-                }
-                kill_fired = true;
-                killed = opts.kill_count.is_none();
-            }
-        }
-        let all_exited = children
+        if children
             .iter_mut()
-            .all(|c| matches!(c.try_wait(), Ok(Some(_))));
-        if all_exited {
-            if killed || completed_of(&snapshot) == total || respawns_left == 0 {
-                break;
-            }
-            // The whole fleet died with work left and nobody asked for
-            // an abort: respawn. The fresh workers steal the dead
-            // claims once their leases expire.
-            respawns_left -= 1;
-            children = spawn_fleet()?;
+            .all(|c| matches!(c.try_wait(), Ok(Some(_))))
+        {
+            break;
         }
         std::thread::sleep(Duration::from_millis(10));
     }
-    for child in &mut children {
-        let _ = child.wait();
-    }
     let snapshot = journal.read()?;
-    let completed = completed_of(&snapshot);
-    if let Some(status) = &opts.status {
-        status.set_jobs(completed as u64, total as u64);
-        let _ = status.publish();
-    }
+    let completed = sweep
+        .plan()
+        .iter()
+        .filter(|pj| snapshot.contains(pj.key))
+        .count();
     Ok(ShardedRun {
         completed,
         total,
         killed,
     })
-}
-
-/// Why a daemon request failed — the distinction drives retry policy.
-#[derive(Debug)]
-enum ServeError {
-    /// The request itself is malformed: reported in `.err`, retired
-    /// immediately, never retried.
-    Bad(String),
-    /// The sweep crashed or came back incomplete: retried on the next
-    /// scan, quarantined after [`MAX_STRIKES_ENV`] strikes.
-    Crashed(String),
-}
-
-/// Reads, increments, and persists the strike count for a request.
-fn bump_strikes(spool: &Path, stem: &str) -> u32 {
-    let path = spool.join(format!("{stem}.strikes"));
-    let strikes = fs::read_to_string(&path)
-        .ok()
-        .and_then(|s| s.trim().parse::<u32>().ok())
-        .unwrap_or(0)
-        + 1;
-    let _ = fs::write(&path, strikes.to_string());
-    strikes
-}
-
-/// Moves a poison request to `spool/quarantine/` with a replayable
-/// reproducer, and clears its strike file.
-fn quarantine_request(spool: &Path, req_path: &Path, stem: &str, detail: &str) {
-    let qdir = spool.join("quarantine");
-    let _ = fs::create_dir_all(&qdir);
-    let dest = qdir.join(format!("{stem}.req"));
-    if fs::rename(req_path, &dest).is_err() && fs::copy(req_path, &dest).is_ok() {
-        let _ = fs::remove_file(req_path);
-    }
-    let text = fs::read_to_string(&dest).unwrap_or_default();
-    let repro = format!(
-        "# Quarantined sweep request `{stem}`\n\
-         # Last failure: {detail}\n\
-         # Replay with:\n\
-         #   vanguard-sweep run --request {} --journal /tmp/{stem}-repro.vgj\n\
-         \n{text}",
-        dest.display()
-    );
-    let _ = fs::write(qdir.join(format!("{stem}.repro.txt")), repro);
-    let _ = fs::remove_file(spool.join(format!("{stem}.strikes")));
-}
-
-/// Daemon mode: watch `spool` for dropped `<name>.req` request files,
-/// run each (sharded), write `<name>.out` atomically, and rename the
-/// request to `<name>.req.done`. A malformed request yields `<name>.err`
-/// and is retired; a request whose sweep *crashes* is retried, and
-/// quarantined to `spool/quarantine/` with a replayable reproducer
-/// after `VANGUARD_SWEEP_MAX_STRIKES` strikes. On startup, claims whose
-/// holder is gone (lease expired, lock dead) are swept to the cache
-/// quarantine. The daemon continuously publishes
-/// [`status.json`](crate::sweepstatus) into the spool. With `once`,
-/// processes the requests present and returns instead of watching
-/// forever.
-///
-/// # Errors
-///
-/// Returns the I/O error from scanning the spool or publishing the
-/// initial status; per-request failures are reported in `.err` files
-/// and strikes, not returned.
-pub fn run_daemon(
-    spool: &Path,
-    worker_exe: &Path,
-    shards: usize,
-    once: bool,
-    stream: &mut dyn Write,
-) -> io::Result<()> {
-    fs::create_dir_all(spool)?;
-    let cache_dir = spool.join("cache");
-    let lease = claim_lease_from_env();
-    let swept = DiskCache::new(&cache_dir).sweep_stale_claims(lease)?;
-    if swept > 0 {
-        writeln!(stream, "[sweep-daemon] swept {swept} stale claims")?;
-    }
-    let max_strikes = std::env::var(MAX_STRIKES_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_MAX_STRIKES);
-    let status = Arc::new(DaemonStatus::new(spool, &cache_dir));
-    status.publish()?;
-    loop {
-        let mut requests: Vec<PathBuf> = fs::read_dir(spool)?
-            .flatten()
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|x| x == "req"))
-            .collect();
-        requests.sort();
-        for req_path in &requests {
-            let stem = req_path
-                .file_stem()
-                .map(|s| s.to_string_lossy().into_owned())
-                .unwrap_or_else(|| "request".into());
-            writeln!(stream, "[sweep-daemon] request {}", req_path.display())?;
-            status.set_state(&format!("serving {stem}"));
-            status.set_journal(Some(spool.join(format!("{stem}.vgj"))));
-            let _ = status.publish();
-            let outcome =
-                serve_request(req_path, spool, &stem, worker_exe, shards, &status, stream);
-            status.set_state("idle");
-            status.set_journal(None);
-            status.set_jobs(0, 0);
-            match outcome {
-                Ok(()) => {
-                    let _ = fs::rename(req_path, req_path.with_extension("req.done"));
-                    let _ = fs::remove_file(spool.join(format!("{stem}.strikes")));
-                    status.count_request_done();
-                }
-                Err(ServeError::Bad(detail)) => {
-                    let _ = fs::write(spool.join(format!("{stem}.err")), &detail);
-                    let _ = fs::rename(req_path, req_path.with_extension("req.done"));
-                    status.count_request_failed();
-                    writeln!(stream, "[sweep-daemon] request {stem} failed: {detail}")?;
-                }
-                Err(ServeError::Crashed(detail)) => {
-                    let strikes = bump_strikes(spool, &stem);
-                    writeln!(
-                        stream,
-                        "[sweep-daemon] request {stem} crashed \
-                         (strike {strikes}/{max_strikes}): {detail}"
-                    )?;
-                    if strikes >= max_strikes {
-                        quarantine_request(spool, req_path, &stem, &detail);
-                        let _ = fs::write(spool.join(format!("{stem}.err")), &detail);
-                        status.count_request_failed();
-                        writeln!(stream, "[sweep-daemon] request {stem} quarantined")?;
-                    }
-                    // Below the limit: leave the .req for the next scan.
-                }
-            }
-            let _ = status.publish();
-        }
-        if once {
-            status.set_state("exited");
-            let _ = status.publish();
-            return Ok(());
-        }
-        std::thread::sleep(Duration::from_millis(200));
-        let _ = status.publish();
-    }
-}
-
-/// Serves one daemon request end-to-end.
-fn serve_request(
-    req_path: &Path,
-    spool: &Path,
-    stem: &str,
-    worker_exe: &Path,
-    shards: usize,
-    status: &Arc<DaemonStatus>,
-    stream: &mut dyn Write,
-) -> Result<(), ServeError> {
-    let bad = |msg: String| ServeError::Bad(msg);
-    let crashed = |msg: String| ServeError::Crashed(msg);
-    let text = fs::read_to_string(req_path).map_err(|e| bad(format!("read request: {e}")))?;
-    let request = SweepRequest::parse(&text).map_err(|e| bad(format!("parse request: {e}")))?;
-    let cache_dir = spool.join("cache");
-    let policy = FaultPolicy {
-        cache_dir: Some(cache_dir.clone()),
-        ..FaultPolicy::from_env()
-    };
-    let sweep = Sweep::build(request, policy).map_err(|e| bad(format!("build sweep: {e}")))?;
-    let journal = Journal::new(spool.join(format!("{stem}.vgj")));
-    let mut opts = ShardOptions::new(worker_exe, shards, cache_dir);
-    opts.status = Some(Arc::clone(status));
-    // An operator throttle on the daemon reaches its workers (the CI
-    // soak slows jobs down so kills land mid-run); run_sharded strips
-    // the variable from workers unless the options carry it.
-    opts.throttle_ms = std::env::var(THROTTLE_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0);
-    let run =
-        run_sharded(&sweep, &journal, &opts, stream).map_err(|e| crashed(format!("run: {e}")))?;
-    if !run.complete() {
-        return Err(crashed(format!(
-            "sweep incomplete: {} of {} jobs journaled",
-            run.completed, run.total
-        )));
-    }
-    let snapshot = journal
-        .read()
-        .map_err(|e| crashed(format!("journal: {e}")))?;
-    let merged = sweep
-        .merged(&snapshot)
-        .map_err(|missing| crashed(format!("merge missing {} jobs", missing.len())))?;
-    let out_path = spool.join(format!("{stem}.out"));
-    let tmp = spool.join(format!(".tmp-{stem}.out"));
-    fs::write(&tmp, merged).map_err(|e| crashed(format!("write output: {e}")))?;
-    fs::rename(&tmp, &out_path).map_err(|e| crashed(format!("publish output: {e}")))?;
-    writeln!(stream, "[sweep-daemon] wrote {}", out_path.display())
-        .map_err(|e| crashed(format!("stream: {e}")))?;
-    Ok(())
 }
 
 #[cfg(test)]

@@ -35,9 +35,6 @@
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, SystemTime};
 use vanguard_ir::Profile;
 
 /// Entry header magic ("Vanguard Cache v1").
@@ -64,68 +61,21 @@ pub struct CorruptEntry {
     pub detail: String,
 }
 
-/// The outcome of a lease-aware claim attempt
-/// ([`DiskCache::try_claim_leased`]).
-#[derive(Debug)]
-pub enum ClaimAttempt {
-    /// This caller won the claim (and stamped its heartbeat).
-    Won(ClaimGuard),
-    /// Another process holds the claim and its heartbeat is fresh —
-    /// let it work.
-    Held,
-    /// Another process holds the claim but has not refreshed its
-    /// heartbeat within the lease: treat the holder as dead and steal
-    /// the work (the caller must make its side effects idempotent —
-    /// e.g. journal with [`append_new`](crate::Journal::append_new)).
-    Expired,
-}
-
 /// A crash-safe, checksummed artifact cache rooted at a directory.
 #[derive(Clone, Debug)]
 pub struct DiskCache {
     dir: PathBuf,
-    /// Byte budget over the `.bin` entries; exceeding it evicts
-    /// oldest-first ([`DiskCache::enforce_budget`]).
-    budget: Option<u64>,
-    /// Entries evicted under disk pressure (shared across clones).
-    evictions: Arc<AtomicU64>,
-    /// Approximate `.bin` bytes on disk, maintained so an under-budget
-    /// store costs one atomic add instead of a directory scan. Seeded
-    /// to `u64::MAX` so the first store always measures for real
-    /// (pre-existing entries, other writers); every full scan resets
-    /// it to the measured total.
-    stored: Arc<AtomicU64>,
 }
 
 impl DiskCache {
-    /// A cache rooted at `dir` (created lazily on first store), with no
-    /// byte budget.
+    /// A cache rooted at `dir` (created lazily on first store).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self::with_budget(dir, None)
-    }
-
-    /// A cache rooted at `dir` with an optional byte budget
-    /// (`VANGUARD_CACHE_BUDGET`): after every store the `.bin` entries
-    /// are kept under `budget` bytes by evicting unclaimed entries
-    /// oldest-first.
-    pub fn with_budget(dir: impl Into<PathBuf>, budget: Option<u64>) -> Self {
-        DiskCache {
-            dir: dir.into(),
-            budget,
-            evictions: Arc::new(AtomicU64::new(0)),
-            stored: Arc::new(AtomicU64::new(u64::MAX)),
-        }
+        DiskCache { dir: dir.into() }
     }
 
     /// The cache root.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Entries evicted under the byte budget so far (shared across
-    /// clones of this handle).
-    pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
     }
 
     /// The quarantine directory for poisoned entries.
@@ -241,91 +191,7 @@ impl DiskCache {
         if result.is_err() {
             let _ = fs::remove_file(&tmp);
         }
-        if result.is_ok() {
-            if let Some(budget) = self.budget {
-                // Disk-pressure degradation, not an error: a store that
-                // pushed the cache over budget evicts cold entries. The
-                // running estimate keeps the common under-budget store
-                // at one atomic add; only crossing the budget (or the
-                // first store ever) pays for a directory scan.
-                let prev = self.stored.fetch_add(entry.len() as u64, Ordering::Relaxed);
-                if prev.saturating_add(entry.len() as u64) > budget {
-                    let _ = self.enforce_budget();
-                }
-            }
-        }
         result
-    }
-
-    /// Brings the `.bin` entries under the byte budget (if one is set)
-    /// by deleting *unclaimed* entries oldest-first (by modification
-    /// time, ties broken by name for determinism). An entry whose claim
-    /// file is currently locked has an active producer or consumer and
-    /// is skipped. Returns the number of entries evicted.
-    ///
-    /// Eviction is an economy, never a correctness risk: a reader that
-    /// loses its entry mid-run sees a clean miss and recomputes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error from scanning the cache directory.
-    pub fn enforce_budget(&self) -> io::Result<u64> {
-        let Some(budget) = self.budget else {
-            return Ok(0);
-        };
-        let mut entries: Vec<(SystemTime, PathBuf, u64)> = Vec::new();
-        let mut total = 0u64;
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if path.extension().is_none_or(|x| x != "bin") {
-                continue;
-            }
-            let Ok(meta) = entry.metadata() else { continue };
-            let mtime = meta.modified().unwrap_or(SystemTime::UNIX_EPOCH);
-            total += meta.len();
-            entries.push((mtime, path, meta.len()));
-        }
-        if total <= budget {
-            self.stored.store(total, Ordering::Relaxed);
-            return Ok(0);
-        }
-        entries.sort();
-        let mut evicted = 0u64;
-        for (_, path, len) in entries {
-            if total <= budget {
-                break;
-            }
-            if self.entry_is_claimed(&path) {
-                continue; // an active producer/consumer owns it
-            }
-            if fs::remove_file(&path).is_ok() {
-                total = total.saturating_sub(len);
-                evicted += 1;
-            }
-        }
-        self.stored.store(total, Ordering::Relaxed);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        Ok(evicted)
-    }
-
-    /// Whether the entry at `path` has a live claim holder (its claim
-    /// file exists and is currently locked).
-    fn entry_is_claimed(&self, entry: &Path) -> bool {
-        let Some(stem) = entry.file_stem().map(|s| s.to_string_lossy().into_owned()) else {
-            return false;
-        };
-        let claim = self.dir.join(format!("claim-{stem}.lock"));
-        let Ok(file) = OpenOptions::new().write(true).open(&claim) else {
-            return false; // no claim file: nobody owns it
-        };
-        match file.try_lock() {
-            Ok(()) => {
-                let _ = File::unlock(&file);
-                false
-            }
-            Err(_) => true,
-        }
     }
 
     /// Stores a payload content-addressed: the entry key is the FNV-1a
@@ -407,9 +273,11 @@ impl DiskCache {
 
     /// Non-blocking variant of [`DiskCache::claim`]: returns `None`
     /// *immediately* when another process holds the claim, instead of
-    /// waiting for it. The sweep workers steal work with this — a
+    /// waiting for it. The sweep workers take jobs with this — a
     /// contended job means someone else is running it, so the worker
-    /// moves on to the next one rather than convoying.
+    /// moves on to the next one rather than convoying. A claim file
+    /// left behind by a dead holder is unlocked (the OS dropped the lock
+    /// with the process), so the next caller simply wins it.
     ///
     /// # Errors
     ///
@@ -426,87 +294,6 @@ impl DiskCache {
             Ok(()) => Ok(Some(ClaimGuard { file, path })),
             Err(_) => Ok(None),
         }
-    }
-
-    /// Lease-aware variant of [`DiskCache::try_claim`]: a claim file's
-    /// modification time is its holder's *heartbeat* (stamped on win,
-    /// refreshed via [`ClaimGuard::heartbeat`]). A contended claim whose
-    /// heartbeat is older than `lease` is reported as
-    /// [`ClaimAttempt::Expired`] — the holder is alive but wedged (a
-    /// `SIGKILL`ed holder releases the OS lock outright and the claim is
-    /// simply won), so the caller should steal the work and rely on an
-    /// idempotent completion path for correctness.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error from creating or locking the claim file.
-    pub fn try_claim_leased(
-        &self,
-        tag: &str,
-        key: u64,
-        lease: Duration,
-    ) -> io::Result<ClaimAttempt> {
-        fs::create_dir_all(&self.dir)?;
-        let path = self.claim_path(tag, key);
-        let file = OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(&path)?;
-        match file.try_lock() {
-            Ok(()) => {
-                let guard = ClaimGuard { file, path };
-                guard.heartbeat(); // a stale file must read as freshly held
-                Ok(ClaimAttempt::Won(guard))
-            }
-            Err(_) => match claim_age(&path) {
-                Some(age) if age > lease => Ok(ClaimAttempt::Expired),
-                _ => Ok(ClaimAttempt::Held),
-            },
-        }
-    }
-
-    /// Sweeps stale claim files — lease-expired *and* holder gone (the
-    /// file is unlocked; a live holder's OS lock dies with its process)
-    /// — into `quarantine/`. Run/daemon startup calls this so debris
-    /// from `SIGKILL`ed workers never accumulates. Returns the number of
-    /// claim files swept.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error from scanning the cache directory; a
-    /// missing directory sweeps nothing.
-    pub fn sweep_stale_claims(&self, lease: Duration) -> io::Result<usize> {
-        let entries = match fs::read_dir(&self.dir) {
-            Ok(e) => e,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-            Err(e) => return Err(e),
-        };
-        let mut swept = 0usize;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if !name.starts_with("claim-") || !name.ends_with(".lock") {
-                continue;
-            }
-            let Ok(file) = OpenOptions::new().write(true).open(&path) else {
-                continue;
-            };
-            if file.try_lock().is_err() {
-                continue; // live holder
-            }
-            let stale = claim_age(&path).is_some_and(|age| age > lease);
-            if stale {
-                let qdir = self.quarantine_dir();
-                let _ = fs::create_dir_all(&qdir);
-                if fs::rename(&path, qdir.join(&name)).is_err() {
-                    let _ = fs::remove_file(&path);
-                }
-                swept += 1;
-            }
-            let _ = File::unlock(&file);
-        }
-        Ok(swept)
     }
 
     /// Quarantines the entry for `(tag, key)` whose *payload* failed the
@@ -561,13 +348,6 @@ impl DiskCache {
     }
 }
 
-/// The heartbeat age of a claim file (its modification time), or `None`
-/// when the file vanished or the clock is skewed into the future.
-fn claim_age(path: &Path) -> Option<Duration> {
-    let mtime = fs::metadata(path).ok()?.modified().ok()?;
-    SystemTime::now().duration_since(mtime).ok()
-}
-
 /// An exclusive cross-process claim on one cache entry, released (and
 /// its claim file removed, best-effort) on drop. See
 /// [`DiskCache::claim`].
@@ -575,25 +355,6 @@ fn claim_age(path: &Path) -> Option<Duration> {
 pub struct ClaimGuard {
     file: File,
     path: PathBuf,
-}
-
-impl ClaimGuard {
-    /// The claim file path (heartbeats can be refreshed by path from a
-    /// dedicated thread — the lock is advisory, so a plain write is
-    /// safe; see [`DiskCache::try_claim_leased`]).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Refreshes the holder's heartbeat: writes a few bytes through the
-    /// held file, bumping the claim file's modification time. A holder
-    /// that stops heartbeating for longer than the lease is treated as
-    /// dead by [`DiskCache::try_claim_leased`]. Best-effort — a failed
-    /// heartbeat only risks a benign steal.
-    pub fn heartbeat(&self) {
-        let _ = (&self.file).write_all(b"hb");
-        let _ = (&self.file).flush();
-    }
 }
 
 impl Drop for ClaimGuard {
@@ -780,128 +541,22 @@ mod tests {
     }
 
     #[test]
-    fn budget_evicts_oldest_unclaimed_entries() {
-        let cache = temp_cache("budget");
-        // No budget: nothing is ever evicted.
-        cache.store_bytes("pair", 1, &[0u8; 100]).unwrap();
-        assert_eq!(cache.enforce_budget().unwrap(), 0);
-
-        // Entries are ~120 bytes each (20-byte envelope + payload).
-        let cache = DiskCache::with_budget(cache.dir(), Some(300));
-        cache.store_bytes("pair", 2, &[0u8; 100]).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        cache.store_bytes("pair", 3, &[0u8; 100]).unwrap();
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        // This store pushes past 300 bytes; the oldest entry goes.
-        cache.store_bytes("pair", 4, &[0u8; 100]).unwrap();
-        assert!(cache.evictions() >= 1, "evictions = {}", cache.evictions());
-        assert!(
-            cache.load_bytes("pair", 1).unwrap().is_none(),
-            "oldest entry evicted first"
-        );
-        assert!(
-            cache.load_bytes("pair", 4).unwrap().is_some(),
-            "newest entry survives"
-        );
-        let total: u64 = fs::read_dir(cache.dir())
-            .unwrap()
-            .flatten()
-            .filter(|e| e.path().extension().is_some_and(|x| x == "bin"))
-            .map(|e| e.metadata().unwrap().len())
-            .sum();
-        assert!(total <= 300, "cache stays under budget, got {total}");
-        let _ = fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
-    fn budget_skips_claimed_entries() {
-        let dir = temp_cache("budget-claimed").dir().to_path_buf();
-        let cache = DiskCache::with_budget(&dir, Some(10));
-        // Claim first: the store's own budget pass must skip the entry.
-        let _guard = cache.try_claim("pair", 7).unwrap().expect("claim won");
-        cache.store_bytes("pair", 7, &[0u8; 100]).unwrap();
-        cache.enforce_budget().unwrap();
-        assert!(
-            cache.load_bytes("pair", 7).unwrap().is_some(),
-            "claimed entry survives eviction pressure"
-        );
-        drop(_guard);
-        cache.enforce_budget().unwrap();
-        assert!(
-            cache.load_bytes("pair", 7).unwrap().is_none(),
-            "released entry is evicted"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn leased_claims_report_held_then_expired() {
-        let cache = temp_cache("lease");
-        let long = Duration::from_secs(3600);
-        let short = Duration::from_millis(30);
-        let won = cache.try_claim_leased("job", 5, long).unwrap();
-        let ClaimAttempt::Won(guard) = won else {
-            panic!("uncontended claim is won: {won:?}");
-        };
-        // Contended + fresh heartbeat: held.
-        assert!(matches!(
-            cache.try_claim_leased("job", 5, long).unwrap(),
-            ClaimAttempt::Held
-        ));
-        // Contended + stale heartbeat: expired (steal).
-        std::thread::sleep(Duration::from_millis(60));
-        assert!(matches!(
-            cache.try_claim_leased("job", 5, short).unwrap(),
-            ClaimAttempt::Expired
-        ));
-        // A heartbeat refresh makes it held again.
-        guard.heartbeat();
-        assert!(matches!(
-            cache.try_claim_leased("job", 5, short).unwrap(),
-            ClaimAttempt::Held
-        ));
-        // Released: the next attempt wins.
-        drop(guard);
-        assert!(matches!(
-            cache.try_claim_leased("job", 5, short).unwrap(),
-            ClaimAttempt::Won(_)
-        ));
-        let _ = fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
-    fn stale_claims_are_swept_to_quarantine() {
-        let cache = temp_cache("stale-claims");
+    fn dead_holders_claim_file_is_won_at_once() {
+        let cache = temp_cache("dead-claim");
         fs::create_dir_all(cache.dir()).unwrap();
-        // An orphaned claim file (holder SIGKILLed: no lock on it).
-        let orphan = cache.dir().join(format!("claim-job-{:016x}.lock", 9u64));
+        // A SIGKILLed holder leaves its claim file behind, unlocked: the
+        // kernel dropped the lock with the process.
+        let orphan = cache.claim_path("job", 9);
         fs::write(&orphan, b"").unwrap();
-        // A live claim must survive the sweep.
-        let _held = cache.try_claim("job", 10).unwrap().expect("claim won");
-        std::thread::sleep(Duration::from_millis(30));
-        let swept = cache.sweep_stale_claims(Duration::from_millis(10)).unwrap();
-        assert_eq!(swept, 1, "only the orphan is swept");
-        assert!(!orphan.exists());
-        assert!(
-            cache
-                .quarantine_dir()
-                .join(orphan.file_name().unwrap())
-                .exists(),
-            "swept claim preserved in quarantine"
-        );
-        assert!(
-            cache
-                .dir()
-                .join(format!("claim-job-{:016x}.lock", 10u64))
-                .exists(),
-            "live claim untouched"
-        );
-        // A fresh orphan (within its lease) is also left alone.
-        let fresh = cache.dir().join(format!("claim-job-{:016x}.lock", 11u64));
-        fs::write(&fresh, b"").unwrap();
-        let swept = cache.sweep_stale_claims(Duration::from_secs(3600)).unwrap();
-        assert_eq!(swept, 0);
-        assert!(fresh.exists());
+        let guard = cache
+            .try_claim("job", 9)
+            .unwrap()
+            .expect("a dead holder's claim is won at once");
+        // While held, a second claimant is turned away without waiting.
+        assert!(cache.try_claim("job", 9).unwrap().is_none());
+        drop(guard);
+        assert!(!orphan.exists(), "a released claim removes its file");
+        assert!(cache.try_claim("job", 9).unwrap().is_some());
         let _ = fs::remove_dir_all(cache.dir());
     }
 

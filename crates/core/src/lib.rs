@@ -47,7 +47,7 @@ mod slice;
 mod transform;
 mod verify;
 
-pub use diskcache::{fnv1a, ClaimAttempt, ClaimGuard, CorruptEntry, DiskCache};
+pub use diskcache::{fnv1a, ClaimGuard, CorruptEntry, DiskCache};
 pub use error::{ErrorKind, VanguardError};
 pub use experiment::{
     Experiment, ExperimentError, ExperimentInput, ExperimentOutcome, PredictorKind, RefRun,

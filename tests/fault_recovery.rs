@@ -79,11 +79,10 @@ fn bitflipped_cache_entry_is_evicted_and_recomputed() {
     assert_class_contained(FaultClass::CacheBitflip);
 }
 
-/// Disk pressure (failed stores, budget eviction) degrades to
-/// compute-without-store, bit-identically. The other new daemon
-/// classes (dead-claim-holder, compaction-under-kill) spawn worker
-/// *processes* and run through the `faultinject` binary in CI instead:
-/// a libtest binary must never re-exec itself as a worker.
+/// Disk pressure (every store fails) degrades to compute-without-store,
+/// bit-identically. The kill-and-resume class spawns worker *processes*
+/// and runs through the `faultinject` binary in CI instead: a libtest
+/// binary must never re-exec itself as a worker.
 #[test]
 fn cache_disk_pressure_degrades_without_store() {
     assert_class_contained(FaultClass::CacheEnospc);

@@ -1,8 +1,9 @@
 //! Property tests for the `VGJ1` sweep journal (DESIGN.md §7.11):
-//! random job sets round-trip bit-exactly, and a truncated or
-//! corrupted tail is *dropped*, never trusted — every record a read
-//! returns is byte-identical to one the writer appended, in append
-//! order, no matter where the file was cut or which byte was flipped.
+//! random job sets round-trip bit-exactly, `append_new` journals each
+//! key once, and a truncated or corrupted tail is *dropped*, never
+//! trusted — every record a read returns is byte-identical to one the
+//! writer appended, in append order, no matter where the file was cut
+//! or which byte was flipped.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -60,32 +61,14 @@ fn assert_valid_prefix(records: &[JournalRecord], jobs: &[(u64, Vec<u8>)]) {
     }
 }
 
-/// First-wins key dedup: the sweep only ever journals a key once
-/// (`Journal::append_new`), and compaction's own dedup matches
-/// `JournalSnapshot::get`, so the compaction properties quantify over
-/// unique-key job sets.
-fn unique_jobs(jobs: Vec<(u64, Vec<u8>)>) -> Vec<(u64, Vec<u8>)> {
+/// The job set with every repeated key dropped (first wins): what a
+/// journal written through `Journal::append_new` must hold.
+fn unique_jobs(jobs: &[(u64, Vec<u8>)]) -> Vec<(u64, Vec<u8>)> {
     let mut seen = HashSet::new();
-    jobs.into_iter().filter(|(k, _)| seen.insert(*k)).collect()
-}
-
-/// Every returned record is byte-identical to an appended job, appears
-/// at most once, and the whole sequence is an in-order subsequence of
-/// the append order — nothing duplicated, resurrected, or fabricated.
-fn assert_ordered_subset(records: &[JournalRecord], jobs: &[(u64, Vec<u8>)]) {
-    let mut at = 0usize;
-    for record in records {
-        let pos = jobs[at..]
-            .iter()
-            .position(|(k, p)| *k == record.key && *p == record.payload)
-            .unwrap_or_else(|| {
-                panic!(
-                    "record {:#x} was never appended (or is duplicated/reordered)",
-                    record.key
-                )
-            });
-        at += pos + 1;
-    }
+    jobs.iter()
+        .filter(|(k, _)| seen.insert(*k))
+        .cloned()
+        .collect()
 }
 
 proptest! {
@@ -171,91 +154,28 @@ proptest! {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// Compacting at any point is invisible to readers: the merged
-    /// snapshot + tail view holds exactly the appended jobs, in append
-    /// order, with nothing dropped — and `append_new` still refuses
-    /// every key, including the ones that moved into the snapshot.
+    /// `append_new` journals each key once: written through it, a job
+    /// set with repeated keys reads back as its first-wins unique
+    /// subset, in append order, and every key is refused afterwards —
+    /// the dedup that bounds a sweep's journal by its plan.
     #[test]
-    fn compaction_at_any_point_is_invisible(jobs in arb_jobs(), split in any::<u64>()) {
-        let (mut journal, dir) = case_journal();
-        journal.set_compact_threshold(None);
-        let jobs = unique_jobs(jobs);
-        let k = if jobs.is_empty() { 0 } else { (split as usize) % (jobs.len() + 1) };
-        for (key, payload) in &jobs[..k] {
-            journal.append(*key, payload).unwrap();
-        }
-        journal.compact().unwrap();
-        for (key, payload) in &jobs[k..] {
-            journal.append(*key, payload).unwrap();
+    fn append_new_journals_each_key_once(jobs in arb_jobs(), repeat in any::<u64>()) {
+        let (journal, dir) = case_journal();
+        // Repeat a seed-chosen prefix so the set always has duplicates.
+        let mut all = jobs.clone();
+        let n = if jobs.is_empty() { 0 } else { (repeat as usize) % (jobs.len() + 1) };
+        all.extend(jobs[..n].iter().map(|(k, _)| (*k, b"dup".to_vec())));
+        let unique = unique_jobs(&all);
+        for (key, payload) in &all {
+            journal.append_new(*key, payload).unwrap();
         }
         let snap = journal.read().unwrap();
-        assert_eq!(snap.records.len(), jobs.len(), "compacted at {k}/{}", jobs.len());
+        assert_eq!(snap.records.len(), unique.len());
         assert_eq!(snap.dropped_bytes, 0);
-        for (record, (key, payload)) in snap.records.iter().zip(&jobs) {
-            assert_eq!(record.key, *key, "append order changed across compaction");
-            assert_eq!(record.payload, *payload);
-        }
-        // No key can ever be journaled twice across the boundary.
-        for (key, _) in &jobs {
-            assert!(!journal.append_new(*key, b"dup").unwrap(), "key {key:#x} resurrected");
-        }
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// The adversary after a compaction: truncating or bit-flipping
-    /// either file (snapshot or tail) never duplicates, reorders, or
-    /// fabricates a record — the merged view stays an in-order subset
-    /// of the appended jobs, and the *undamaged* file's records all
-    /// survive.
-    #[test]
-    fn corruption_after_compaction_never_fabricates(
-        jobs in arb_jobs(),
-        split in any::<u64>(),
-        hit_snapshot in any::<bool>(),
-        truncate in any::<bool>(),
-        at in any::<u64>(),
-        flip in 1u8..=255,
-    ) {
-        let (mut journal, dir) = case_journal();
-        journal.set_compact_threshold(None);
-        let jobs = unique_jobs(jobs);
-        if jobs.is_empty() {
-            let _ = fs::remove_dir_all(&dir);
-            return Ok(());
-        }
-        let k = (split as usize) % (jobs.len() + 1);
-        for (key, payload) in &jobs[..k] {
-            journal.append(*key, payload).unwrap();
-        }
-        journal.compact().unwrap();
-        for (key, payload) in &jobs[k..] {
-            journal.append(*key, payload).unwrap();
-        }
-        let target = if hit_snapshot {
-            journal.snapshot_path()
-        } else {
-            journal.path().to_path_buf()
-        };
-        let mut bytes = fs::read(&target).unwrap();
-        if bytes.len() > MAGIC_LEN {
-            if truncate {
-                let cut = MAGIC_LEN + (at as usize) % (bytes.len() - MAGIC_LEN + 1);
-                bytes.truncate(cut);
-            } else {
-                let at = MAGIC_LEN + (at as usize) % (bytes.len() - MAGIC_LEN);
-                bytes[at] ^= flip;
-            }
-            fs::write(&target, &bytes).unwrap();
-        }
-        let snap = journal.read().unwrap();
-        assert_ordered_subset(&snap.records, &jobs);
-        let intact = if hit_snapshot { &jobs[k..] } else { &jobs[..k] };
-        for (key, payload) in intact {
-            assert_eq!(
-                snap.get(*key),
-                Some(payload.as_slice()),
-                "damage to one file lost a record of the other"
-            );
+        assert!(snap.duplicate_keys().is_empty());
+        assert_valid_prefix(&snap.records, &unique);
+        for (key, _) in &unique {
+            assert!(!journal.append_new(*key, b"dup").unwrap(), "key {key:#x} journaled twice");
         }
         let _ = fs::remove_dir_all(&dir);
     }
