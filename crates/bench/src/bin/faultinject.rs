@@ -12,6 +12,7 @@
 //! applies). Everything is deterministic in `--seed`.
 
 use std::fmt::Write as _;
+use vanguard_bench::cli::{flag_value, numeric_flag};
 use vanguard_bench::faultinject::{
     clean_suite_stats, measure_overhead, run_class, ClassReport, FaultClass,
 };
@@ -37,25 +38,26 @@ fn json_str(s: &str) -> String {
     out
 }
 
+/// Reports a malformed flag and exits 2 (a usage error).
+fn usage_error(msg: String) -> ! {
+    eprintln!(
+        "[faultinject] {msg}\nusage: faultinject [--all-classes | --class NAME ...] [--seed N] \
+         [--rounds N] [--skip-overhead] [--out FILE]"
+    );
+    std::process::exit(2);
+}
+
 fn main() {
     vanguard_bench::sweep::maybe_run_worker();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed: u64 = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+    let seed: u64 = numeric_flag(&args, "--seed", 0)
+        .unwrap_or_else(|e| usage_error(e))
         .unwrap_or(0);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_robustness.json", |s| s.as_str());
-    let rounds: usize = args
-        .iter()
-        .position(|a| a == "--rounds")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+    let out_path = flag_value(&args, "--out")
+        .unwrap_or_else(|e| usage_error(e))
+        .unwrap_or("BENCH_robustness.json");
+    let rounds: usize = numeric_flag(&args, "--rounds", 1)
+        .unwrap_or_else(|e| usage_error(e))
         .unwrap_or(5);
     let skip_overhead = args.iter().any(|a| a == "--skip-overhead");
     let mut classes: Vec<FaultClass> = Vec::new();

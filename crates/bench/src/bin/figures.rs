@@ -31,6 +31,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
+use vanguard_bench::cli::{flag_value, numeric_flag};
 use vanguard_bench::{
     ablation_rows, check_ablation_shape, check_fig8_shape, fig14_rows, fig2_fig3_series,
     format_ablation, format_speedups, format_table2, geomean_pct, icache_ablation,
@@ -39,6 +40,15 @@ use vanguard_bench::{
 };
 use vanguard_core::TransformKind;
 use vanguard_workloads::suite;
+
+const USAGE: &str = "usage: figures [ITEM ...] [--quick] [--verbose] [--assert-shape] \
+                     [--max-cycles N] [--transform KIND]";
+
+/// Reports a malformed flag and exits 2 (a usage error).
+fn usage_error(msg: String) -> ! {
+    eprintln!("[figures] {msg}\n{USAGE}");
+    std::process::exit(2);
+}
 
 fn main() {
     let mut bad_item = false;
@@ -50,17 +60,12 @@ fn main() {
     // `--max-cycles N` arms the engine's per-job cycle-budget watchdog:
     // a wedged simulation becomes a TimedOut outcome instead of hanging
     // the run (`VANGUARD_JOB_TIMEOUT` is the wall-clock equivalent).
-    let max_cycles: Option<u64> = args
-        .iter()
-        .position(|a| a == "--max-cycles")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
+    let max_cycles: Option<u64> =
+        numeric_flag(&args, "--max-cycles", 1).unwrap_or_else(|e| usage_error(e));
     // `--transform <kind>` swaps the pass used by every non-ablation
     // item (vanguard | meld | shadow | stacked).
-    let transform: Option<TransformKind> = args
-        .iter()
-        .position(|a| a == "--transform")
-        .and_then(|i| args.get(i + 1))
+    let transform: Option<TransformKind> = flag_value(&args, "--transform")
+        .unwrap_or_else(|e| usage_error(e))
         .map(|v| match TransformKind::parse(v) {
             Some(kind) => kind,
             None => {

@@ -5,6 +5,7 @@
 //! stacked) so rival transformations can be diagnosed the same way.
 
 use std::sync::Arc;
+use vanguard_bench::cli::flag_value;
 use vanguard_bench::{BenchScale, StderrProgress, SuiteEngine};
 use vanguard_core::TransformKind;
 use vanguard_sim::MachineConfig;
@@ -12,10 +13,11 @@ use vanguard_workloads::suite;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let transform: Option<TransformKind> = args
-        .iter()
-        .position(|a| a == "--transform")
-        .and_then(|i| args.get(i + 1))
+    let transform: Option<TransformKind> = flag_value(&args, "--transform")
+        .unwrap_or_else(|e| {
+            eprintln!("[inspect] {e}\nusage: inspect [BENCH] [--transform KIND]");
+            std::process::exit(2);
+        })
         .map(|v| match TransformKind::parse(v) {
             Some(kind) => kind,
             None => {

@@ -14,6 +14,7 @@
 //! ```
 
 use std::sync::Arc;
+use vanguard_bench::cli::{flag_value, parse_at_least};
 use vanguard_bench::StderrProgress;
 use vanguard_bpred::Combined;
 use vanguard_core::engine::{Engine, PredictorKind};
@@ -129,12 +130,16 @@ fn render(label: &str, program: &Program, mem: Memory, window: u64) -> u64 {
     result.stats.cycles
 }
 
+/// Reports a malformed argument and exits 2 (a usage error).
+fn usage_error(msg: String) -> ! {
+    eprintln!("[pipeview] {msg}\nusage: pipeview [FILE.s [CYCLES]] [--transform KIND]");
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let kind: TransformKind = args
-        .iter()
-        .position(|a| a == "--transform")
-        .and_then(|i| args.get(i + 1))
+    let kind: TransformKind = flag_value(&args, "--transform")
+        .unwrap_or_else(|e| usage_error(e))
         .map(|v| match TransformKind::parse(v) {
             Some(kind) => kind,
             None => {
@@ -149,7 +154,10 @@ fn main() {
         .filter(|(i, a)| !a.starts_with("--") && (*i == 0 || args[i - 1] != "--transform"))
         .map(|(_, a)| a)
         .collect();
-    let max_cycles: u64 = positional.get(1).and_then(|s| s.parse().ok()).unwrap_or(60);
+    let max_cycles: u64 = match positional.get(1) {
+        Some(v) => parse_at_least("CYCLES", v, 1).unwrap_or_else(|e| usage_error(e)),
+        None => 60,
+    };
 
     if let Some(path) = positional.first() {
         let text = match std::fs::read_to_string(path) {

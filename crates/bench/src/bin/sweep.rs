@@ -18,7 +18,7 @@
 
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::str::FromStr;
+use vanguard_bench::cli;
 use vanguard_bench::sweep::{self, run_sharded, ShardOptions, Sweep, SweepRequest, SHARDS_ENV};
 use vanguard_core::engine::FaultPolicy;
 use vanguard_core::Journal;
@@ -32,25 +32,16 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1) {
-        Some(v) => Some(v.clone()),
-        None => usage(),
-    }
+/// Reports a malformed flag, then the usage, and exits 2.
+fn usage_error(msg: String) -> ! {
+    eprintln!("[sweep] {msg}");
+    usage();
 }
 
-/// The numeric value of flag `name`, if given. A value that does not
-/// parse is a usage error, never a silent fallback.
-fn flag_number<T: FromStr>(args: &[String], name: &str) -> Option<T> {
-    let v = flag_value(args, name)?;
-    match v.parse() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("[sweep] {name}: `{v}` is not a valid number");
-            usage();
-        }
-    }
+fn flag_value(args: &[String], name: &str) -> Option<String> {
+    cli::flag_value(args, name)
+        .unwrap_or_else(|e| usage_error(e))
+        .map(str::to_string)
 }
 
 fn default_shards() -> usize {
@@ -70,16 +61,13 @@ fn main() {
     if mode != "run" && mode != "resume" {
         usage();
     }
-    let shards = match flag_number::<usize>(&args, "--shards") {
-        Some(0) => {
-            eprintln!("[sweep] --shards: must be at least 1");
-            usage();
-        }
-        Some(n) => n,
-        None => default_shards(),
-    };
-    let kill_after: Option<usize> = flag_number(&args, "--fault-kill-after");
-    let throttle_ms: Option<u64> = flag_number(&args, "--throttle-ms");
+    let shards = cli::numeric_flag(&args, "--shards", 1)
+        .unwrap_or_else(|e| usage_error(e))
+        .unwrap_or_else(default_shards);
+    let kill_after: Option<usize> =
+        cli::numeric_flag(&args, "--fault-kill-after", 0).unwrap_or_else(|e| usage_error(e));
+    let throttle_ms: Option<u64> =
+        cli::numeric_flag(&args, "--throttle-ms", 0).unwrap_or_else(|e| usage_error(e));
     let serial = args.iter().any(|a| a == "--serial");
     let out_path = flag_value(&args, "--out").map(PathBuf::from);
     let worker_exe = sweep::harness_worker_exe().unwrap_or_else(|e| {
@@ -110,16 +98,7 @@ fn main() {
         std::process::exit(2);
     });
 
-    let mut policy = FaultPolicy::from_env();
-    let cache_dir = policy.cache_dir.clone().unwrap_or_else(|| {
-        journal_path
-            .parent()
-            .map(|p| p.to_path_buf())
-            .unwrap_or_default()
-            .join("sweep-cache")
-    });
-    policy.cache_dir = Some(cache_dir.clone());
-    let sweep = Sweep::build(request, policy).unwrap_or_else(|e| {
+    let sweep = Sweep::build(request, FaultPolicy::from_env()).unwrap_or_else(|e| {
         eprintln!("[sweep] {e}");
         std::process::exit(1);
     });
@@ -135,7 +114,7 @@ fn main() {
         sweep.run_serial()
     } else {
         let journal = Journal::new(&journal_path);
-        let mut opts = ShardOptions::new(worker_exe, shards, cache_dir);
+        let mut opts = ShardOptions::new(worker_exe, shards);
         opts.kill_after = kill_after;
         opts.throttle_ms = throttle_ms;
         let mut err = std::io::stderr();

@@ -7,21 +7,21 @@
 //! * the suite **completes** — no process abort, every job yields a
 //!   [`JobResult`];
 //! * the injected failure surfaces as the *typed* outcome for its class
-//!   (`Faulted`, `TimedOut`, a retried/`Recovered` job, or a quarantined
-//!   corrupt cache entry), visible in `EngineStats::summary`;
+//!   (`Faulted`, `TimedOut`, or a retried/`Recovered` job), visible in
+//!   `EngineStats::summary`;
 //! * every **unaffected** job's statistics are bit-identical to a clean
 //!   run — fault handling never perturbs healthy results.
 //!
 //! Everything is deterministic in the harness seed: the seed picks the
-//! panicked job index, the corrupted cache entry, and the flipped bit,
-//! so a failing CI run is replayable with `--seed N`.
+//! panicked job index and the sweep's kill point, so a failing CI run
+//! is replayable with `--seed N`.
 //!
 //! The module is the library behind the `faultinject` binary and the
 //! `tests/fault_recovery.rs` integration tests.
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 use vanguard_core::engine::{
     Engine, FaultPolicy, JobResult, PredictorKind, SimJob, SweepCell, DEFAULT_MAX_PROFILE_STEPS,
@@ -79,20 +79,11 @@ declare_fault_classes! {
     Hang => "hang",
     /// A worker thread panics mid-job; the retry must recover it.
     WorkerPanic => "worker-panic",
-    /// An on-disk profile cache entry is truncated.
-    CacheTruncation => "cache-truncation",
-    /// A single bit of an on-disk profile cache entry is flipped.
-    CacheBitflip => "cache-bitflip",
     /// A sweep worker *process* is `SIGKILL`ed mid-sweep; the resumed
     /// sweep must complete off the journal with no job's side effects
     /// run twice and a merged output byte-identical to an uninterrupted
     /// serial run, at shard counts 1, 2, and 4.
     KillAndResume => "kill-and-resume",
-    /// The artifact cache hits disk pressure: every store fails
-    /// (simulated `ENOSPC` via a poisoned cache path). The suite
-    /// degrades to compute-without-store — counted in `EngineStats`,
-    /// never a job failure, bit-identical results.
-    CacheEnospc => "cache-enospc",
 }
 
 /// One named assertion of a class scenario.
@@ -496,113 +487,6 @@ fn worker_panic_class(seed: u64, clean: &[SimStats]) -> ClassReport {
     }
 }
 
-/// Truncates a cache entry to half its length.
-fn truncate_entry(path: &Path) -> std::io::Result<()> {
-    let data = fs::read(path)?;
-    fs::write(path, &data[..data.len() / 2])
-}
-
-/// Flips one seed-chosen bit of a cache entry.
-fn bitflip_entry(path: &Path, seed: u64) -> std::io::Result<()> {
-    let mut data = fs::read(path)?;
-    let i = if data.len() > 21 {
-        20 + (seed as usize % (data.len() - 20))
-    } else {
-        data.len().saturating_sub(1)
-    };
-    data[i] ^= 1 << (seed % 8) as u8;
-    fs::write(path, &data)
-}
-
-fn cache_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats]) -> ClassReport {
-    let cdir = scratch.join(format!("cache-{}", class.name()));
-    let _ = fs::remove_dir_all(&cdir);
-    let mut policy = isolated_policy();
-    policy.cache_dir = Some(cdir.clone());
-    let mut checks = Vec::new();
-
-    // Populate the disk cache with a throwaway engine.
-    {
-        let (engine, jobs, _) = engine_with_suite(None, policy.clone());
-        run_all(&engine, &jobs);
-    }
-    let mut entries: Vec<PathBuf> = fs::read_dir(&cdir)
-        .map(|rd| {
-            rd.flatten()
-                .map(|e| e.path())
-                .filter(|p| p.extension().is_some_and(|x| x == "bin"))
-                .collect()
-        })
-        .unwrap_or_default();
-    entries.sort();
-    push_check(
-        &mut checks,
-        "disk cache populated",
-        !entries.is_empty(),
-        format!("{} entries in {}", entries.len(), cdir.display()),
-    );
-    if entries.is_empty() {
-        return ClassReport {
-            class,
-            checks,
-            summary: String::new(),
-        };
-    }
-    let target = &entries[seed as usize % entries.len()];
-    let corrupted = match class {
-        FaultClass::CacheTruncation => truncate_entry(target),
-        _ => bitflip_entry(target, seed),
-    };
-    push_check(
-        &mut checks,
-        "entry corrupted on disk",
-        corrupted.is_ok(),
-        target.display().to_string(),
-    );
-
-    // Recovery: a fresh engine over the damaged cache.
-    let (engine, jobs, _) = engine_with_suite(None, policy.clone());
-    let results = run_all(&engine, &jobs);
-    let stats = engine.stats();
-    let (same, detail) = suite_identical(&results, clean);
-    push_check(
-        &mut checks,
-        "corrupt entry evicted and recomputed bit-identically",
-        same,
-        detail,
-    );
-    push_check(
-        &mut checks,
-        "corruption detected and counted",
-        stats.cache_corrupt >= 1,
-        format!("cache_corrupt = {}", stats.cache_corrupt),
-    );
-    let quarantined = fs::read_dir(cdir.join("quarantine"))
-        .map(|rd| rd.count() >= 1)
-        .unwrap_or(false);
-    push_check(
-        &mut checks,
-        "corrupt entry quarantined, not deleted silently",
-        quarantined,
-        cdir.join("quarantine").display().to_string(),
-    );
-    // Self-healing: the recomputed entry was re-stored, so a third
-    // engine sees a fully healthy cache.
-    let (healed, jobs2, _) = engine_with_suite(None, policy);
-    run_all(&healed, &jobs2);
-    push_check(
-        &mut checks,
-        "cache self-heals after recompute",
-        healed.stats().cache_corrupt == 0,
-        format!("cache_corrupt = {}", healed.stats().cache_corrupt),
-    );
-    ClassReport {
-        class,
-        checks,
-        summary: stats.summary(),
-    }
-}
-
 /// Shard counts the kill-and-resume scenario must hold at.
 const KILL_RESUME_SHARDS: [usize; 3] = [1, 2, 4];
 
@@ -643,7 +527,7 @@ fn kill_and_resume_class(seed: u64, scratch: &Path) -> ClassReport {
         }
     };
     let request = SweepRequest::ci_quick();
-    let serial = match serial_reference(scratch, "kill-resume") {
+    let serial = match serial_reference() {
         Ok(s) => s,
         Err(check) => {
             checks.push(check);
@@ -654,12 +538,7 @@ fn kill_and_resume_class(seed: u64, scratch: &Path) -> ClassReport {
     for shards in KILL_RESUME_SHARDS {
         let dir = scratch.join(format!("kill-resume-{shards}"));
         let _ = fs::remove_dir_all(&dir);
-        let cache_dir = dir.join("cache");
-        let policy = FaultPolicy {
-            cache_dir: Some(cache_dir.clone()),
-            ..isolated_policy()
-        };
-        let sweep_run = match Sweep::build(request.clone(), policy) {
+        let sweep_run = match Sweep::build(request.clone(), isolated_policy()) {
             Ok(s) => s,
             Err(e) => {
                 push_check(&mut checks, "sharded sweep builds", false, e);
@@ -673,7 +552,7 @@ fn kill_and_resume_class(seed: u64, scratch: &Path) -> ClassReport {
         // sweep before the SIGKILL lands.
         let kill_after = 1 + (seed as usize % 2);
         let mut sink = std::io::sink();
-        let mut kill_opts = ShardOptions::new(worker_exe.clone(), shards, cache_dir.clone());
+        let mut kill_opts = ShardOptions::new(worker_exe.clone(), shards);
         kill_opts.kill_after = Some(kill_after);
         kill_opts.throttle_ms = Some(40);
         let first = sweep::run_sharded(&sweep_run, &journal, &kill_opts, &mut sink);
@@ -690,7 +569,7 @@ fn kill_and_resume_class(seed: u64, scratch: &Path) -> ClassReport {
         let second = sweep::run_sharded(
             &sweep_run,
             &journal,
-            &ShardOptions::new(worker_exe.clone(), shards, cache_dir.clone()),
+            &ShardOptions::new(worker_exe.clone(), shards),
             &mut sink,
         );
         let resumed = matches!(&second, Ok(run) if run.complete());
@@ -745,93 +624,29 @@ fn kill_and_resume_class(seed: u64, scratch: &Path) -> ClassReport {
     report(checks, summary)
 }
 
-/// Builds the serial-reference merged output of the CI quick sweep, in
-/// its own cache directory so the byte-identity claim never depends on
-/// artifacts a sharded run produced. Returns `Err(check)` with a failed
-/// check when the build fails.
-fn serial_reference(scratch: &Path, tag: &str) -> Result<String, Check> {
+/// Builds the serial-reference merged output of the CI quick sweep.
+/// Returns `Err(check)` with a failed check when the build fails.
+fn serial_reference() -> Result<String, Check> {
     use crate::sweep::{Sweep, SweepRequest};
-    let serial_dir = scratch.join(format!("{tag}-serial"));
-    let _ = fs::remove_dir_all(&serial_dir);
-    let policy = FaultPolicy {
-        cache_dir: Some(serial_dir.join("cache")),
-        ..isolated_policy()
-    };
-    let out = match Sweep::build(SweepRequest::ci_quick(), policy) {
+    match Sweep::build(SweepRequest::ci_quick(), isolated_policy()) {
         Ok(sweep) => Ok(sweep.run_serial()),
         Err(e) => Err(Check {
             name: "serial reference sweep builds",
             passed: false,
             detail: e,
         }),
-    };
-    let _ = fs::remove_dir_all(&serial_dir);
-    out
-}
-
-/// Stages the cache-ENOSPC class: the cache directory path runs
-/// *through a regular file*, so every create fails (`ENOTDIR` stands in
-/// for `ENOSPC`; permission bits are useless under root). The suite must
-/// complete bit-identically, degrading to compute-without-store and
-/// counting the failures.
-fn cache_enospc_class(scratch: &Path, clean: &[SimStats]) -> ClassReport {
-    let mut checks = Vec::new();
-    let dir = scratch.join("cache-enospc");
-    let _ = fs::remove_dir_all(&dir);
-    let _ = fs::create_dir_all(&dir);
-
-    // A poisoned cache path — every store (and load) errors.
-    let blocker = dir.join("blocker");
-    let _ = fs::write(&blocker, b"not a directory");
-    let mut policy = isolated_policy();
-    policy.cache_dir = Some(blocker.join("cache"));
-    let (engine, jobs, _) = engine_with_suite(None, policy);
-    let results = run_all(&engine, &jobs);
-    let stats = engine.stats();
-    let (same, detail) = suite_identical(&results, clean);
-    push_check(
-        &mut checks,
-        "full-disk cache degrades to compute-without-store",
-        same,
-        detail,
-    );
-    push_check(
-        &mut checks,
-        "failed stores counted, zero job failures",
-        stats.cache_store_failures >= 1 && stats.jobs_failed == 0,
-        format!(
-            "cache_store_failures = {}, jobs_failed = {}",
-            stats.cache_store_failures, stats.jobs_failed
-        ),
-    );
-    push_check(
-        &mut checks,
-        "summary surfaces the store failures",
-        stats.summary().contains("store failures"),
-        stats.summary(),
-    );
-
-    let _ = fs::remove_dir_all(&dir);
-    ClassReport {
-        class: FaultClass::CacheEnospc,
-        checks,
-        summary: stats.summary(),
     }
 }
 
 /// Stages one fault class against the suite and checks the containment
-/// contract. `scratch` hosts quarantine/cache directories (created as
-/// needed); `clean` is the [`clean_suite_stats`] reference.
+/// contract. `scratch` hosts the quarantine and sweep directories
+/// (created as needed); `clean` is the [`clean_suite_stats`] reference.
 pub fn run_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats]) -> ClassReport {
     match class {
         FaultClass::GuestTrap => guest_trap_class(scratch, clean),
         FaultClass::Hang => hang_class(clean),
         FaultClass::WorkerPanic => worker_panic_class(seed, clean),
-        FaultClass::CacheTruncation | FaultClass::CacheBitflip => {
-            cache_class(class, seed, scratch, clean)
-        }
         FaultClass::KillAndResume => kill_and_resume_class(seed, scratch),
-        FaultClass::CacheEnospc => cache_enospc_class(scratch, clean),
     }
 }
 

@@ -143,7 +143,7 @@ impl SuiteEngine {
     }
 
     /// Overrides the underlying engine's fault policy (watchdog
-    /// budgets, retry behaviour, quarantine/cache directories).
+    /// budgets, retry behaviour, quarantine directory).
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
         self.engine.set_fault_policy(policy);
     }

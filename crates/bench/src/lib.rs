@@ -23,6 +23,7 @@
 //! once and reused across every figure of a harness invocation.
 
 mod ablation;
+pub mod cli;
 pub mod faultinject;
 mod figures;
 pub mod fuzz;

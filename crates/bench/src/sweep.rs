@@ -10,13 +10,13 @@
 //! * every completed job appends one checksummed record (key →
 //!   encoded outcome) to the journal with [`Journal::append_new`],
 //!   under an exclusive file lock, so a job is journaled at most once;
-//! * workers claim jobs with non-blocking OS file locks in the shared
-//!   `VANGUARD_CACHE_DIR` store ([`DiskCache::try_claim`]), so two live
-//!   workers never run the same job, and a `SIGKILL`ed worker's claim
-//!   evaporates with it (the kernel drops the lock);
-//! * compiled pairs and program images are content-addressed in the
-//!   same store, so concurrent workers share artifacts instead of
-//!   recompiling them.
+//! * workers claim jobs with non-blocking OS file locks in the claim
+//!   directory next to the journal ([`claim_dir`],
+//!   [`DiskCache::try_claim`]), so two live workers never run the same
+//!   job, and a `SIGKILL`ed worker's claim evaporates with it (the
+//!   kernel drops the lock);
+//! * each worker profiles and compiles in its own engine's memory; the
+//!   journal and the claims are the only files a sweep writes.
 //!
 //! An interrupted sweep resumes by running again over its journal:
 //! journaled jobs are never re-run.
@@ -34,7 +34,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 use vanguard_core::engine::{
@@ -308,8 +308,7 @@ pub struct Sweep {
 }
 
 impl Sweep {
-    /// Builds the sweep under a fault policy (the policy's `cache_dir`
-    /// is what workers share artifacts and job claims through).
+    /// Builds the sweep under a fault policy.
     ///
     /// # Errors
     ///
@@ -547,6 +546,16 @@ pub fn maybe_run_worker() {
     std::process::exit(worker_main());
 }
 
+/// The job-claim directory of a sweep: the journal path with `.claims`
+/// appended. Every worker of every run over the same journal derives
+/// the same directory, so a resume contends on the same claims. Each
+/// claim file is removed when its job is journaled.
+pub fn claim_dir(journal: &Path) -> PathBuf {
+    let mut dir = journal.as_os_str().to_owned();
+    dir.push(".claims");
+    PathBuf::from(dir)
+}
+
 /// The worker loop: parse the request from the environment, then take
 /// unjournaled jobs via non-blocking claims until the journal covers
 /// the whole plan. [`Journal::append_new`] guarantees at most one
@@ -567,17 +576,11 @@ fn worker_main() -> i32 {
         Err(e) => return fail(format!("bad request: {e}")),
     };
     let journal = Journal::new(&journal_path);
-    let mut policy = FaultPolicy::from_env();
-    let cache_dir = policy
-        .cache_dir
-        .clone()
-        .unwrap_or_else(|| PathBuf::from(format!("{journal_path}.cache")));
-    policy.cache_dir = Some(cache_dir.clone());
-    let sweep = match Sweep::build(request, policy) {
+    let sweep = match Sweep::build(request, FaultPolicy::from_env()) {
         Ok(s) => s,
         Err(e) => return fail(format!("bad sweep: {e}")),
     };
-    let claims = DiskCache::new(&cache_dir);
+    let claims = DiskCache::new(claim_dir(journal.path()));
     let throttle = std::env::var(THROTTLE_ENV)
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
@@ -670,8 +673,6 @@ pub struct ShardOptions {
     pub worker_exe: PathBuf,
     /// Worker-process count (≥ 1).
     pub shards: usize,
-    /// Shared artifact store + claim directory for the workers.
-    pub cache_dir: PathBuf,
     /// `SIGKILL` every worker once this many jobs are journaled and
     /// abort the run (fault injection); `None` runs to completion.
     pub kill_after: Option<usize>,
@@ -682,15 +683,10 @@ pub struct ShardOptions {
 
 impl ShardOptions {
     /// Options with no fault injection and no throttle.
-    pub fn new(
-        worker_exe: impl Into<PathBuf>,
-        shards: usize,
-        cache_dir: impl Into<PathBuf>,
-    ) -> ShardOptions {
+    pub fn new(worker_exe: impl Into<PathBuf>, shards: usize) -> ShardOptions {
         ShardOptions {
             worker_exe: worker_exe.into(),
             shards,
-            cache_dir: cache_dir.into(),
             kill_after: None,
             throttle_ms: None,
         }
@@ -720,7 +716,6 @@ pub fn run_sharded(
             cmd.env(WORKER_ENV, "1")
                 .env(REQUEST_ENV, sweep.request().render())
                 .env(JOURNAL_ENV, journal.path())
-                .env("VANGUARD_CACHE_DIR", &opts.cache_dir)
                 .stdin(Stdio::null())
                 .stdout(Stdio::null());
             match opts.throttle_ms {
@@ -840,11 +835,7 @@ mod tests {
     #[test]
     fn merged_journal_matches_serial_run() {
         let dir = scratch("merge");
-        let policy = FaultPolicy {
-            cache_dir: Some(dir.join("cache")),
-            ..FaultPolicy::default()
-        };
-        let sweep = Sweep::build(tiny_request(), policy).unwrap();
+        let sweep = Sweep::build(tiny_request(), FaultPolicy::default()).unwrap();
         let serial = sweep.run_serial();
 
         // Journal the jobs out of order, as racing workers would.

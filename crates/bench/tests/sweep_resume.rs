@@ -1,7 +1,9 @@
 //! Integration tests for the `vanguard-sweep` binary: the CI
 //! `sweep-resume` gate's contract, exercised through the real CLI.
 //!
-//! * a sharded run's merged output is byte-identical to `--serial`;
+//! * a sharded run's merged output is byte-identical to `--serial`,
+//!   and a completed run leaves only its journal behind (the claim
+//!   directory is empty: no artifact entries, no stale claims);
 //! * `--fault-kill-after` interrupts the run (exit 3) leaving a
 //!   partial journal, and `resume` completes it byte-identically;
 //! * a malformed number on any numeric flag is a usage error (exit 2);
@@ -11,7 +13,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use vanguard_bench::sweep::SweepRequest;
+use vanguard_bench::sweep::{claim_dir, SweepRequest};
 
 const SWEEP_EXE: &str = env!("CARGO_BIN_EXE_vanguard-sweep");
 
@@ -31,13 +33,12 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// Runs `vanguard-sweep` with `args`, caching under `cache`, returning
-/// (exit code, stdout). Forwards the child's stderr so a failing
-/// assertion shows *why* the binary exited the way it did.
-fn run_sweep(args: &[&str], cache: &Path) -> (i32, Vec<u8>) {
+/// Runs `vanguard-sweep` with `args`, returning (exit code, stdout).
+/// Forwards the child's stderr so a failing assertion shows *why* the
+/// binary exited the way it did.
+fn run_sweep(args: &[&str]) -> (i32, Vec<u8>) {
     let output = Command::new(SWEEP_EXE)
         .args(args)
-        .env("VANGUARD_CACHE_DIR", cache)
         .output()
         .expect("spawn vanguard-sweep");
     eprint!("{}", String::from_utf8_lossy(&output.stderr));
@@ -60,28 +61,41 @@ fn sharded_run_matches_serial_byte_for_byte() {
     let request = ci_request_path();
     let request = request.to_str().unwrap();
 
-    let (code, serial) = run_sweep(
-        &["run", "--request", request, "--serial"],
-        &dir.join("serial-cache"),
-    );
+    let (code, serial) = run_sweep(&["run", "--request", request, "--serial"]);
     assert_eq!(code, 0, "serial run succeeds");
     assert!(!serial.is_empty());
 
     let journal = dir.join("sharded.vgj");
-    let (code, sharded) = run_sweep(
-        &[
-            "run",
-            "--request",
-            request,
-            "--journal",
-            journal.to_str().unwrap(),
-            "--shards",
-            "2",
-        ],
-        &dir.join("sharded-cache"),
-    );
+    let (code, sharded) = run_sweep(&[
+        "run",
+        "--request",
+        request,
+        "--journal",
+        journal.to_str().unwrap(),
+        "--shards",
+        "2",
+    ]);
     assert_eq!(code, 0, "sharded run succeeds");
     assert_eq!(sharded, serial, "sharded merge is byte-identical to serial");
+
+    // A completed sweep leaves its journal and nothing else: no
+    // profile, pair or image entries, and every claim file released.
+    let claims: Vec<PathBuf> = fs::read_dir(claim_dir(&journal))
+        .map(|rd| rd.flatten().map(|e| e.path()).collect())
+        .unwrap_or_default();
+    assert!(claims.is_empty(), "claim directory not empty: {claims:?}");
+    let mut files = Vec::new();
+    let mut dirs = vec![dir.clone()];
+    while let Some(d) = dirs.pop() {
+        for entry in fs::read_dir(&d).unwrap().flatten() {
+            if entry.path().is_dir() {
+                dirs.push(entry.path());
+            } else {
+                files.push(entry.path());
+            }
+        }
+    }
+    assert_eq!(files, vec![journal.clone()], "only the journal is left");
     let _ = fs::remove_dir_all(&dir);
 }
 
@@ -91,61 +105,48 @@ fn kill_and_resume_is_byte_identical() {
     let request = ci_request_path();
     let request = request.to_str().unwrap();
 
-    let (code, serial) = run_sweep(
-        &["run", "--request", request, "--serial"],
-        &dir.join("serial-cache"),
-    );
+    let (code, serial) = run_sweep(&["run", "--request", request, "--serial"]);
     assert_eq!(code, 0);
 
     // Interrupt: SIGKILL the workers after 2 journaled jobs. The
     // throttle keeps jobs slow enough that the kill lands mid-sweep.
     let journal = dir.join("killed.vgj");
-    let cache = dir.join("killed-cache");
-    let (code, _) = run_sweep(
-        &[
-            "run",
-            "--request",
-            request,
-            "--journal",
-            journal.to_str().unwrap(),
-            "--shards",
-            "2",
-            "--fault-kill-after",
-            "2",
-            "--throttle-ms",
-            "40",
-        ],
-        &cache,
-    );
+    let (code, _) = run_sweep(&[
+        "run",
+        "--request",
+        request,
+        "--journal",
+        journal.to_str().unwrap(),
+        "--shards",
+        "2",
+        "--fault-kill-after",
+        "2",
+        "--throttle-ms",
+        "40",
+    ]);
     assert_eq!(code, 3, "--fault-kill-after exits 3 (interrupted)");
     assert!(journal.exists(), "interrupted run leaves its journal");
 
     // Resuming a journal that does not exist is a usage error.
-    let (code, _) = run_sweep(
-        &[
-            "resume",
-            "--request",
-            request,
-            "--journal",
-            dir.join("no-such.vgj").to_str().unwrap(),
-        ],
-        &cache,
-    );
+    let (code, _) = run_sweep(&[
+        "resume",
+        "--request",
+        request,
+        "--journal",
+        dir.join("no-such.vgj").to_str().unwrap(),
+    ]);
     assert_eq!(code, 2, "resume without a journal exits 2");
 
     // Resume off the partial journal: completes, byte-identical.
-    let (code, resumed) = run_sweep(
-        &[
-            "resume",
-            "--request",
-            request,
-            "--journal",
-            journal.to_str().unwrap(),
-            "--shards",
-            "2",
-        ],
-        &cache,
-    );
+    let (code, resumed) = run_sweep(&[
+        "resume",
+        "--request",
+        request,
+        "--journal",
+        journal.to_str().unwrap(),
+        "--shards",
+        "2",
+    ]);
     assert_eq!(code, 0, "resume completes");
     assert_eq!(
         resumed, serial,
@@ -177,7 +178,6 @@ fn malformed_numbers_are_usage_errors() {
                 flag,
                 value,
             ])
-            .env("VANGUARD_CACHE_DIR", dir.join("cache"))
             .output()
             .expect("spawn vanguard-sweep");
         let stderr = String::from_utf8_lossy(&output.stderr);

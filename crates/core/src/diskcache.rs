@@ -1,47 +1,46 @@
-//! Crash-safe on-disk artifact cache.
+//! Crash-safe on-disk store: checksummed entries and cross-process
+//! claims.
 //!
-//! Expensive engine artifacts — profiles (a full TRAIN-input
-//! interpretation) and compiled program pairs — can optionally persist
-//! across processes in a directory named by `VANGUARD_CACHE_DIR`.
-//! Entries are namespaced by a `tag` (`profile-…`, `pair-…`) so distinct
-//! artifact types can never alias, and every key already folds in the
-//! transform variant's stable cache id, so two transform kinds of the
-//! same (benchmark, profile, width) occupy distinct files. The cache is
-//! designed to survive crashes and concurrent writers without ever
-//! poisoning a run:
+//! The sweep farm (DESIGN.md §7.11) takes jobs through non-blocking
+//! claims ([`DiskCache::try_claim`]) in a directory derived from its
+//! journal path. The engine keeps profiles and compiled pairs in memory
+//! only, so no engine artifact is ever written here. Entries are
+//! namespaced by a `tag` so distinct payload types can never alias, and
+//! the store survives crashes and concurrent writers without ever
+//! serving a damaged byte:
 //!
 //! * **Atomic writes** — entries are written to a private temp file in
-//!   the cache directory and `rename`d into place, so a reader never
-//!   observes a half-written entry (at worst it misses and recomputes).
+//!   the store directory and `rename`d into place, so a reader never
+//!   observes a half-written entry (at worst it misses).
 //! * **Checksummed entries** — every entry carries a magic tag, payload
-//!   length, and FNV-1a checksum; [`DiskCache::load`] validates all
-//!   three plus the payload structure before trusting a byte.
-//! * **Evict-and-recompute** — a corrupt entry is moved into a
+//!   length, and FNV-1a checksum; [`DiskCache::load_bytes`] validates
+//!   all three before trusting a byte.
+//! * **Evict on corruption** — a corrupt entry is moved into a
 //!   `quarantine/` subdirectory (preserved for postmortem) and reported
-//!   as [`CorruptEntry`]; the caller recomputes and re-stores. A flaky
-//!   disk degrades throughput, never correctness.
+//!   as [`CorruptEntry`]; the caller recomputes and re-stores.
 //! * **Cross-process claims** — [`DiskCache::claim`] hands exactly one
 //!   process the right to produce a missing entry (an OS file lock on a
 //!   `claim-…` file); everyone else blocks until the producer stores and
-//!   releases, then re-loads. A `SIGKILL`ed producer releases its lock
-//!   with its process, so a dead claim never wedges the farm. Two
-//!   workers never recompute the same artifact while both are healthy.
+//!   releases, then re-loads. [`DiskCache::try_claim`] is the
+//!   non-blocking form the sweep workers use. A `SIGKILL`ed holder
+//!   releases its lock with its process, so a dead claim never wedges
+//!   the farm.
 //! * **Content-addressed payloads** — [`DiskCache::store_content`] keys
-//!   an entry by the FNV-1a hash of its payload, so identical artifacts
-//!   produced anywhere in the farm share one entry, and
-//!   [`DiskCache::load_content`] re-verifies the address against the
-//!   bytes (a mismatch is quarantined like any other corruption).
+//!   an entry by the FNV-1a hash of its payload, so identical payloads
+//!   share one entry, and [`DiskCache::load_content`] re-verifies the
+//!   address against the bytes (a mismatch is quarantined like any
+//!   other corruption).
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
-use vanguard_ir::Profile;
 
 /// Entry header magic ("Vanguard Cache v1").
 const MAGIC: &[u8; 4] = b"VGC1";
 
-/// 64-bit FNV-1a — the checksum and key hash of the disk cache (stable
-/// across platforms and processes, no dependencies).
+/// 64-bit FNV-1a — the checksum and key hash of the entry store, the
+/// journal and the job keys (stable across platforms and processes, no
+/// dependencies).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -61,19 +60,19 @@ pub struct CorruptEntry {
     pub detail: String,
 }
 
-/// A crash-safe, checksummed artifact cache rooted at a directory.
+/// A crash-safe, checksummed entry store rooted at a directory.
 #[derive(Clone, Debug)]
 pub struct DiskCache {
     dir: PathBuf,
 }
 
 impl DiskCache {
-    /// A cache rooted at `dir` (created lazily on first store).
+    /// A store rooted at `dir` (created lazily on first store or claim).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DiskCache { dir: dir.into() }
     }
 
-    /// The cache root.
+    /// The store root.
     pub fn dir(&self) -> &Path {
         &self.dir
     }
@@ -86,30 +85,6 @@ impl DiskCache {
     fn entry_path(&self, tag: &str, key: u64) -> PathBuf {
         self.dir.join(format!("{tag}-{key:016x}.bin"))
     }
-
-    /// Loads and validates the profile entry for `key`.
-    ///
-    /// Returns `Ok(None)` on a clean miss (no entry).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CorruptEntry`] when an entry exists but fails
-    /// validation; the entry has already been moved to quarantine (or
-    /// deleted if the move failed), so recomputing and re-storing is
-    /// always safe.
-    pub fn load(&self, key: u64) -> Result<Option<Profile>, CorruptEntry> {
-        let Some(payload) = self.load_bytes(Self::PROFILE_TAG, key)? else {
-            return Ok(None);
-        };
-        match Profile::from_bytes(&payload) {
-            Ok(profile) => Ok(Some(profile)),
-            Err(detail) => Err(self.reject(Self::PROFILE_TAG, key, detail)),
-        }
-    }
-
-    /// The entry namespace for profiles ([`DiskCache::load`] /
-    /// [`DiskCache::store`]).
-    pub const PROFILE_TAG: &'static str = "profile";
 
     /// Loads and validates the raw entry for `(tag, key)`, returning the
     /// checksummed payload. `Ok(None)` is a clean miss.
@@ -153,20 +128,9 @@ impl DiskCache {
         Ok(payload)
     }
 
-    /// Atomically stores the profile entry for `key` (temp file +
-    /// rename; a concurrent reader sees either the old entry or the new
-    /// one, never a torn write).
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error; callers treat a failed store as a cache
-    /// miss, never a run failure.
-    pub fn store(&self, key: u64, profile: &Profile) -> io::Result<()> {
-        self.store_bytes(Self::PROFILE_TAG, key, &profile.to_bytes())
-    }
-
     /// Atomically stores a raw payload for `(tag, key)` under the
-    /// checksummed envelope.
+    /// checksummed envelope (temp file + rename; a concurrent reader
+    /// sees either the old entry or the new one, never a torn write).
     ///
     /// # Errors
     ///
@@ -367,18 +331,9 @@ impl Drop for ClaimGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vanguard_isa::BlockId;
 
-    fn sample_profile() -> Profile {
-        let mut p = Profile::new();
-        p.dynamic_insts = 42_000;
-        for i in 0..10u32 {
-            for j in 0..20u64 {
-                p.record(BlockId(i), j % 3 == 0, j % 2 == 0);
-            }
-        }
-        p
-    }
+    /// A payload large enough that a mid-entry bit flip lands in it.
+    const SAMPLE: &[u8] = b"a checksummed payload of a few dozen bytes";
 
     fn temp_cache(tag: &str) -> DiskCache {
         let dir =
@@ -388,43 +343,38 @@ mod tests {
     }
 
     #[test]
-    fn store_then_load_roundtrips() {
-        let cache = temp_cache("roundtrip");
-        let p = sample_profile();
-        cache.store(7, &p).unwrap();
-        let back = cache.load(7).unwrap().expect("entry present");
-        assert_eq!(back.dynamic_insts, p.dynamic_insts);
-        assert_eq!(back.len(), p.len());
-        assert!(cache.load(8).unwrap().is_none(), "distinct key misses");
-        let _ = fs::remove_dir_all(cache.dir());
-    }
-
-    #[test]
     fn truncation_is_detected_and_quarantined() {
         let cache = temp_cache("truncate");
-        cache.store(3, &sample_profile()).unwrap();
-        let path = cache.entry_path(DiskCache::PROFILE_TAG, 3);
+        cache.store_bytes("pair", 3, SAMPLE).unwrap();
+        let path = cache.entry_path("pair", 3);
         let bytes = fs::read(&path).unwrap();
         fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        let err = cache.load(3).expect_err("truncated entry must not load");
+        let err = cache
+            .load_bytes("pair", 3)
+            .expect_err("truncated entry must not load");
         assert!(err.path.starts_with(cache.quarantine_dir()), "{err:?}");
         // Evicted: the next load is a clean miss, and re-storing works.
-        assert!(cache.load(3).unwrap().is_none());
-        cache.store(3, &sample_profile()).unwrap();
-        assert!(cache.load(3).unwrap().is_some());
+        assert!(cache.load_bytes("pair", 3).unwrap().is_none());
+        cache.store_bytes("pair", 3, SAMPLE).unwrap();
+        assert_eq!(
+            cache.load_bytes("pair", 3).unwrap().as_deref(),
+            Some(SAMPLE)
+        );
         let _ = fs::remove_dir_all(cache.dir());
     }
 
     #[test]
     fn bitflip_is_detected() {
         let cache = temp_cache("bitflip");
-        cache.store(5, &sample_profile()).unwrap();
-        let path = cache.entry_path(DiskCache::PROFILE_TAG, 5);
+        cache.store_bytes("pair", 5, SAMPLE).unwrap();
+        let path = cache.entry_path("pair", 5);
         let mut bytes = fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
+        let mid = 20 + SAMPLE.len() / 2;
         bytes[mid] ^= 0x40;
         fs::write(&path, &bytes).unwrap();
-        let err = cache.load(5).expect_err("bit-flipped entry must not load");
+        let err = cache
+            .load_bytes("pair", 5)
+            .expect_err("bit-flipped entry must not load");
         assert!(err.detail.contains("checksum"), "{err:?}");
         let _ = fs::remove_dir_all(cache.dir());
     }
@@ -440,12 +390,8 @@ mod tests {
             Some(&b"compiled pair payload"[..])
         );
         // The same key under another tag is a clean miss — tags are
-        // namespaces, so a profile and a pair can never alias.
-        assert!(cache
-            .load_bytes(DiskCache::PROFILE_TAG, 11)
-            .unwrap()
-            .is_none());
-        assert!(cache.load(11).unwrap().is_none());
+        // namespaces, so two payload types can never alias.
+        assert!(cache.load_bytes("image", 11).unwrap().is_none());
         let _ = fs::remove_dir_all(cache.dir());
     }
 
@@ -563,12 +509,15 @@ mod tests {
     #[test]
     fn bad_magic_is_detected() {
         let cache = temp_cache("magic");
-        cache.store(9, &sample_profile()).unwrap();
-        let path = cache.entry_path(DiskCache::PROFILE_TAG, 9);
+        cache.store_bytes("pair", 9, SAMPLE).unwrap();
+        let path = cache.entry_path("pair", 9);
         let mut bytes = fs::read(&path).unwrap();
         bytes[0] = b'X';
         fs::write(&path, &bytes).unwrap();
-        assert!(cache.load(9).is_err());
+        let err = cache
+            .load_bytes("pair", 9)
+            .expect_err("bad magic must not load");
+        assert!(err.detail.contains("magic"), "{err:?}");
         let _ = fs::remove_dir_all(cache.dir());
     }
 }

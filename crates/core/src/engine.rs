@@ -32,16 +32,15 @@
 //! [`JobResult::Failed`] with a [`VanguardError`] carrying stage,
 //! benchmark, and seed context. Transient failures are retried once
 //! with backoff; repeat failures are quarantined with a replayable
-//! reproducer. The optional on-disk profile cache
-//! ([`crate::DiskCache`], enabled by `VANGUARD_CACHE_DIR`) is
-//! checksummed and crash-safe: corrupt entries are quarantined and
-//! recomputed, never trusted. See DESIGN.md §7.8 for the fault model.
+//! reproducer. Artifacts live in engine memory only: a process
+//! profiles and compiles each key itself. See DESIGN.md §7.8 for the
+//! fault model.
 
-use crate::diskcache::{fnv1a, ClaimGuard, DiskCache};
+use crate::diskcache::fnv1a;
 use crate::error::{ErrorKind, VanguardError};
 use crate::experiment::{Experiment, ExperimentError, ExperimentInput, ExperimentOutcome, RefRun};
 use crate::passes::TransformKind;
-use crate::report::{SiteOutcome, TransformReport};
+use crate::report::TransformReport;
 use crate::transform::TransformOptions;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -49,7 +48,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 use vanguard_ir::Profile;
-use vanguard_isa::{parse_program, BlockId, DecodedImage, Program};
+use vanguard_isa::{DecodedImage, Program};
 use vanguard_sim::{MachineConfig, SimError, SimStats, Simulator, StopCause};
 
 pub use vanguard_bpred::LadderRung as PredictorKind;
@@ -245,7 +244,7 @@ impl JobResult {
 }
 
 /// Fault-tolerance policy of an [`Engine`]: watchdog budgets, retry
-/// behaviour, and quarantine/cache directories.
+/// behaviour, and the quarantine directory.
 #[derive(Clone, Debug)]
 pub struct FaultPolicy {
     /// Per-job wall-clock budget (`VANGUARD_JOB_TIMEOUT` seconds);
@@ -254,16 +253,13 @@ pub struct FaultPolicy {
     /// Per-job simulated-cycle budget (`--max-cycles`); `None` disables
     /// the cycle watchdog.
     pub max_cycles: Option<u64>,
-    /// Retry a transient failure (worker panic, cache corruption) once.
+    /// Retry a transient failure (a worker panic) once.
     pub retry_transient: bool,
     /// Backoff before the retry.
     pub backoff: Duration,
     /// Where to write replayable reproducers for jobs that still fail
     /// after retry (`VANGUARD_QUARANTINE_DIR`); `None` disables.
     pub quarantine_dir: Option<PathBuf>,
-    /// Root of the crash-safe on-disk profile cache
-    /// (`VANGUARD_CACHE_DIR`); `None` keeps artifacts in memory only.
-    pub cache_dir: Option<PathBuf>,
 }
 
 impl Default for FaultPolicy {
@@ -274,15 +270,14 @@ impl Default for FaultPolicy {
             retry_transient: true,
             backoff: Duration::from_millis(50),
             quarantine_dir: None,
-            cache_dir: None,
         }
     }
 }
 
 impl FaultPolicy {
     /// The default policy with the environment overrides applied:
-    /// `VANGUARD_JOB_TIMEOUT` (seconds, fractional allowed),
-    /// `VANGUARD_QUARANTINE_DIR` and `VANGUARD_CACHE_DIR`.
+    /// `VANGUARD_JOB_TIMEOUT` (seconds, fractional allowed) and
+    /// `VANGUARD_QUARANTINE_DIR`.
     pub fn from_env() -> Self {
         let mut policy = FaultPolicy::default();
         if let Ok(v) = std::env::var("VANGUARD_JOB_TIMEOUT") {
@@ -295,11 +290,6 @@ impl FaultPolicy {
         if let Ok(v) = std::env::var("VANGUARD_QUARANTINE_DIR") {
             if !v.trim().is_empty() {
                 policy.quarantine_dir = Some(PathBuf::from(v));
-            }
-        }
-        if let Ok(v) = std::env::var("VANGUARD_CACHE_DIR") {
-            if !v.trim().is_empty() {
-                policy.cache_dir = Some(PathBuf::from(v));
             }
         }
         policy
@@ -362,10 +352,10 @@ impl TransformKey {
         }
     }
 
-    /// Stable little-endian byte encoding for disk-cache key hashing.
-    /// Leads with the pass's stable [`TransformKind::cache_id`] so two
-    /// variants of the same (benchmark, profile, width) can never share
-    /// a disk entry.
+    /// Stable little-endian byte encoding, hashed into
+    /// [`Engine::job_key`]. Leads with the pass's stable
+    /// [`TransformKind::cache_id`] so two variants of the same
+    /// (benchmark, profile, width) can never share a journal record.
     pub fn disk_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(8 * 5 + 3);
         out.extend_from_slice(&self.kind.cache_id().to_le_bytes());
@@ -411,199 +401,6 @@ pub struct CompiledPair {
     pub transformed_image: Arc<DecodedImage>,
     /// The transformation report (PBC, PISCS, hoist counts).
     pub report: TransformReport,
-}
-
-/// Disk-cache entry namespace for compiled pairs.
-const PAIR_TAG: &str = "pair";
-
-/// Disk-cache entry namespace for content-addressed program images
-/// (exact disassembly text, keyed by its own FNV-1a hash). A pair entry
-/// *references* its two images by content address instead of inlining
-/// them, so identical programs — every transform kind's baseline of the
-/// same (benchmark, profile, width), for instance — share one image
-/// entry across every process of the farm.
-const IMAGE_TAG: &str = "image";
-
-/// Serializes a compiled pair's header for the disk cache: the
-/// transformation report plus the content addresses of the two program
-/// images (stored separately under [`IMAGE_TAG`]).
-fn encode_pair_header(pair: &CompiledPair, baseline_key: u64, transformed_key: u64) -> Vec<u8> {
-    let r = &pair.report;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "report {} {} {} {} {}\n",
-        r.forward_branches, r.code_bytes_before, r.code_bytes_after, r.melded, r.meld_added_insts
-    ));
-    for s in &r.converted {
-        out.push_str(&format!(
-            "site {} {} {} {} {} {} {}\n",
-            s.block.0,
-            s.hoisted_taken,
-            s.hoisted_fallthrough,
-            s.slice_insts,
-            s.removed_from_block,
-            s.commit_moves,
-            s.executed
-        ));
-    }
-    for (b, reason) in &r.skipped {
-        out.push_str(&format!("skip {} {}\n", b.0, reason.replace('\n', " ")));
-    }
-    out.push_str(&format!("baseline-image {baseline_key:016x}\n"));
-    out.push_str(&format!("transformed-image {transformed_key:016x}\n"));
-    out.into_bytes()
-}
-
-/// Structurally validates and decodes a disk-cached pair header,
-/// returning the report and the two image content addresses. Any
-/// malformation is an error (the caller quarantines the entry and
-/// recompiles).
-fn decode_pair_header(bytes: &[u8]) -> Result<(TransformReport, u64, u64), String> {
-    let header = std::str::from_utf8(bytes).map_err(|e| format!("not utf-8: {e}"))?;
-    let mut baseline_key = None;
-    let mut transformed_key = None;
-    let mut report = TransformReport::default();
-    let mut saw_report = false;
-    for line in header.lines() {
-        let (tag, rest) = line.split_once(' ').ok_or("malformed header line")?;
-        match tag {
-            "report" => {
-                let f: Vec<&str> = rest.split(' ').collect();
-                if f.len() != 5 {
-                    return Err("malformed report line".into());
-                }
-                let num = |s: &str| s.parse::<u64>().map_err(|e| format!("report field: {e}"));
-                report.forward_branches = num(f[0])? as usize;
-                report.code_bytes_before = num(f[1])?;
-                report.code_bytes_after = num(f[2])?;
-                report.melded = num(f[3])? as usize;
-                report.meld_added_insts = f[4]
-                    .parse::<isize>()
-                    .map_err(|e| format!("report field: {e}"))?;
-                saw_report = true;
-            }
-            "site" => {
-                let f: Vec<&str> = rest.split(' ').collect();
-                if f.len() != 7 {
-                    return Err("malformed site line".into());
-                }
-                let num = |s: &str| s.parse::<u64>().map_err(|e| format!("site field: {e}"));
-                report.converted.push(SiteOutcome {
-                    block: BlockId(f[0].parse().map_err(|e| format!("site block: {e}"))?),
-                    hoisted_taken: num(f[1])? as usize,
-                    hoisted_fallthrough: num(f[2])? as usize,
-                    slice_insts: num(f[3])? as usize,
-                    removed_from_block: num(f[4])? as usize,
-                    commit_moves: num(f[5])? as usize,
-                    executed: num(f[6])?,
-                });
-            }
-            "skip" => {
-                let (block, reason) = rest.split_once(' ').ok_or("malformed skip line")?;
-                report.skipped.push((
-                    BlockId(block.parse().map_err(|e| format!("skip block: {e}"))?),
-                    reason.to_string(),
-                ));
-            }
-            "baseline-image" => {
-                baseline_key = Some(
-                    u64::from_str_radix(rest, 16).map_err(|e| format!("baseline-image: {e}"))?,
-                );
-            }
-            "transformed-image" => {
-                transformed_key = Some(
-                    u64::from_str_radix(rest, 16).map_err(|e| format!("transformed-image: {e}"))?,
-                );
-            }
-            other => return Err(format!("unknown header tag `{other}`")),
-        }
-    }
-    if !saw_report {
-        return Err("missing report line".into());
-    }
-    let baseline_key = baseline_key.ok_or("missing baseline-image line")?;
-    let transformed_key = transformed_key.ok_or("missing transformed-image line")?;
-    Ok((report, baseline_key, transformed_key))
-}
-
-/// Parses a content-addressed program image back into a program and its
-/// pre-decoded form.
-fn decode_image(text: &[u8]) -> Result<(Arc<Program>, Arc<DecodedImage>), String> {
-    let text = std::str::from_utf8(text).map_err(|e| format!("not utf-8: {e}"))?;
-    let program = parse_program(text).map_err(|e| format!("image: {e}"))?;
-    let image = Arc::new(DecodedImage::build(&program));
-    Ok((Arc::new(program), image))
-}
-
-/// The outcome of a disk-cache pair lookup.
-enum PairLoad {
-    /// Entry present and fully reconstructed.
-    Hit(CompiledPair),
-    /// No entry (or a referenced image is gone) — compile fresh.
-    Miss,
-    /// Entry or a referenced image failed validation and was
-    /// quarantined — compile fresh and count the corruption.
-    Corrupt,
-}
-
-/// Loads a compiled pair from the disk cache, fetching its two
-/// content-addressed images. A missing image entry (a shared image can
-/// be quarantined or deleted apart from the pair headers that reference
-/// it)
-/// degrades to a clean miss; a malformed header or image quarantines
-/// the offending entry.
-fn load_pair(cache: &DiskCache, dk: u64) -> PairLoad {
-    let header = match cache.load_bytes(PAIR_TAG, dk) {
-        Ok(Some(bytes)) => bytes,
-        Ok(None) => return PairLoad::Miss,
-        Err(_) => return PairLoad::Corrupt,
-    };
-    let (report, baseline_key, transformed_key) = match decode_pair_header(&header) {
-        Ok(decoded) => decoded,
-        Err(detail) => {
-            let _ = cache.reject(PAIR_TAG, dk, &detail);
-            return PairLoad::Corrupt;
-        }
-    };
-    let mut images = Vec::with_capacity(2);
-    for (what, key) in [("baseline", baseline_key), ("transformed", transformed_key)] {
-        let text = match cache.load_content(IMAGE_TAG, key) {
-            Ok(Some(text)) => text,
-            Ok(None) => return PairLoad::Miss,
-            Err(_) => return PairLoad::Corrupt,
-        };
-        match decode_image(&text) {
-            Ok(decoded) => images.push(decoded),
-            Err(detail) => {
-                let _ = cache.reject(IMAGE_TAG, key, format!("{what}: {detail}"));
-                return PairLoad::Corrupt;
-            }
-        }
-    }
-    let (transformed, transformed_image) = images.pop().expect("two images");
-    let (baseline, baseline_image) = images.pop().expect("two images");
-    PairLoad::Hit(CompiledPair {
-        baseline,
-        transformed,
-        baseline_image,
-        transformed_image,
-        report,
-    })
-}
-
-/// Stores a compiled pair: both program images content-addressed under
-/// [`IMAGE_TAG`], then the header referencing them under [`PAIR_TAG`].
-/// Image-first ordering means a reader never sees a header whose images
-/// have not landed yet.
-fn store_pair(cache: &DiskCache, dk: u64, pair: &CompiledPair) -> std::io::Result<()> {
-    let baseline_key = cache.store_content(IMAGE_TAG, pair.baseline.disassemble().as_bytes())?;
-    let transformed_key =
-        cache.store_content(IMAGE_TAG, pair.transformed.disassemble().as_bytes())?;
-    cache.store_bytes(
-        PAIR_TAG,
-        dk,
-        &encode_pair_header(pair, baseline_key, transformed_key),
-    )
 }
 
 /// A pipeline stage, for observer events and timing attribution.
@@ -707,18 +504,6 @@ pub struct EngineStats {
     pub jobs_failed: u64,
     /// Transient-failure retries attempted.
     pub jobs_retried: u64,
-    /// Corrupt disk-cache entries quarantined and recomputed.
-    pub cache_corrupt: u64,
-    /// Profile-stage executions served from the on-disk cache (a subset
-    /// of `profile_misses`: the slot was initialized, but from disk).
-    pub profile_disk_hits: u64,
-    /// Compile-stage executions served from the on-disk cache (a subset
-    /// of `compile_misses`).
-    pub pair_disk_hits: u64,
-    /// Disk-cache stores that failed (full disk, unwritable cache dir):
-    /// the artifact was computed and used but not persisted — the
-    /// degrade-to-compute-without-store path under disk pressure.
-    pub cache_store_failures: u64,
 }
 
 impl EngineStats {
@@ -734,7 +519,7 @@ impl EngineStats {
 
     /// Renders the per-stage timing/cache summary (one line per stage,
     /// plus an outcome line counting ok / faulted / timed-out / failed /
-    /// retried jobs and quarantined cache entries).
+    /// retried jobs).
     pub fn summary(&self) -> String {
         fn ms(nanos: u64) -> f64 {
             nanos as f64 / 1e6
@@ -743,8 +528,7 @@ impl EngineStats {
             "profile : {:>4} runs, {:>4} cache hits, {:>9.1} ms\n\
              compile : {:>4} runs, {:>4} cache hits, {:>9.1} ms\n\
              simulate: {:>4} jobs, {:>21.1} ms, {:>7.2} MIPS/worker\n\
-             outcomes: {:>4} ok, {} faulted, {} timed out, {} failed, \
-             {} retried, {} corrupt cache entries, {} store failures",
+             outcomes: {:>4} ok, {} faulted, {} timed out, {} failed, {} retried",
             self.profile_misses,
             self.profile_hits,
             ms(self.profile_nanos),
@@ -759,8 +543,6 @@ impl EngineStats {
             self.jobs_timed_out,
             self.jobs_failed,
             self.jobs_retried,
-            self.cache_corrupt,
-            self.cache_store_failures,
         )
     }
 }
@@ -831,7 +613,6 @@ pub struct Engine {
     profiles: Mutex<HashMap<ProfileKey, ProfileSlot>>,
     pairs: Mutex<HashMap<CompileKey, CompileSlot>>,
     fault_policy: FaultPolicy,
-    disk_cache: Option<DiskCache>,
     /// Deterministic fault-injection plan: job index → remaining panics
     /// to raise inside the containment boundary (test/harness hook, see
     /// [`Engine::inject_worker_panic`]).
@@ -850,10 +631,6 @@ pub struct Engine {
     jobs_timed_out: AtomicU64,
     jobs_failed: AtomicU64,
     jobs_retried: AtomicU64,
-    cache_corrupt: AtomicU64,
-    cache_store_failures: AtomicU64,
-    profile_disk_hits: AtomicU64,
-    pair_disk_hits: AtomicU64,
 }
 
 impl std::fmt::Debug for Engine {
@@ -898,16 +675,13 @@ impl Engine {
     /// [`FaultPolicy::from_env`]; override with
     /// [`Engine::set_fault_policy`].
     pub fn with_workers(workers: usize) -> Self {
-        let fault_policy = FaultPolicy::from_env();
-        let disk_cache = fault_policy.cache_dir.clone().map(DiskCache::new);
         Engine {
             workers: workers.max(1),
             benchmarks: Vec::new(),
             observers: Vec::new(),
             profiles: Mutex::new(HashMap::new()),
             pairs: Mutex::new(HashMap::new()),
-            fault_policy,
-            disk_cache,
+            fault_policy: FaultPolicy::from_env(),
             panic_plan: Mutex::new(HashMap::new()),
             profile_misses: AtomicU64::new(0),
             profile_hits: AtomicU64::new(0),
@@ -923,10 +697,6 @@ impl Engine {
             jobs_timed_out: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
             jobs_retried: AtomicU64::new(0),
-            cache_corrupt: AtomicU64::new(0),
-            cache_store_failures: AtomicU64::new(0),
-            profile_disk_hits: AtomicU64::new(0),
-            pair_disk_hits: AtomicU64::new(0),
         }
     }
 
@@ -935,10 +705,8 @@ impl Engine {
         self.workers
     }
 
-    /// Replaces the fault policy (and rebuilds the disk cache handle
-    /// from `policy.cache_dir`).
+    /// Replaces the fault policy.
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
-        self.disk_cache = policy.cache_dir.clone().map(DiskCache::new);
         self.fault_policy = policy;
     }
 
@@ -1006,10 +774,6 @@ impl Engine {
             jobs_timed_out: self.jobs_timed_out.load(Ordering::Relaxed),
             jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
             jobs_retried: self.jobs_retried.load(Ordering::Relaxed),
-            cache_corrupt: self.cache_corrupt.load(Ordering::Relaxed),
-            cache_store_failures: self.cache_store_failures.load(Ordering::Relaxed),
-            profile_disk_hits: self.profile_disk_hits.load(Ordering::Relaxed),
-            pair_disk_hits: self.pair_disk_hits.load(Ordering::Relaxed),
         }
     }
 
@@ -1017,64 +781,24 @@ impl Engine {
     // Stages
     // ----------------------------------------------------------------
 
-    /// Content-addressed disk-cache key of a profile: hashes the
-    /// benchmark name, generator seed, predictor, step budget, and the
-    /// program text itself, so a stale entry from a different program
-    /// can never be served (the in-memory [`ProfileKey`] identifies
-    /// benchmarks by registration id, which is not stable across
-    /// processes). The TRAIN input is assumed to be determined by the
-    /// (name, seed) pair.
-    fn profile_disk_key(&self, bench: usize, predictor: PredictorKind, max_steps: u64) -> u64 {
-        fnv1a(&self.bench_identity_bytes(bench, predictor, max_steps))
-    }
-
-    /// The content-addressed identity shared by every disk key derived
-    /// from a (benchmark, predictor, step-budget) triple.
-    fn bench_identity_bytes(
-        &self,
-        bench: usize,
-        predictor: PredictorKind,
-        max_steps: u64,
-    ) -> Vec<u8> {
-        let input = &self.benchmarks[bench];
+    /// Content-addressed key of one simulation job: the benchmark name,
+    /// generator seed, predictor, step budget and program text, plus the
+    /// full machine configuration, REF input index, variant and
+    /// transform key. Stable across processes (it hashes names, program
+    /// text, and option bytes, never registration ids or pointers), so
+    /// it keys the sweep journal: a resumed sweep in a fresh process
+    /// recognises completed jobs by this key alone. The TRAIN input is
+    /// assumed to be determined by the (name, seed) pair.
+    pub fn job_key(&self, job: &SimJob, options: &TransformOptions, max_steps: u64) -> u64 {
+        let input = &self.benchmarks[job.bench];
         let mut bytes = Vec::new();
         bytes.extend_from_slice(input.name.as_bytes());
         bytes.push(0);
         bytes.extend_from_slice(&input.seed.unwrap_or(u64::MAX).to_le_bytes());
-        bytes.extend_from_slice(format!("{predictor:?}").as_bytes());
+        bytes.extend_from_slice(format!("{:?}", job.predictor).as_bytes());
         bytes.push(0);
         bytes.extend_from_slice(&max_steps.to_le_bytes());
         bytes.extend_from_slice(input.program.disassemble().as_bytes());
-        bytes
-    }
-
-    /// Content-addressed disk-cache key of a compiled pair: the profile
-    /// identity material plus the machine width and the *full* transform
-    /// key — led by the pass's stable cache id — so two transform
-    /// variants of the same (benchmark, profile, width) can never share
-    /// a disk entry.
-    fn pair_disk_key(
-        &self,
-        bench: usize,
-        predictor: PredictorKind,
-        max_steps: u64,
-        width: usize,
-        options: &TransformKey,
-    ) -> u64 {
-        let mut bytes = self.bench_identity_bytes(bench, predictor, max_steps);
-        bytes.extend_from_slice(&(width as u64).to_le_bytes());
-        bytes.extend_from_slice(&options.disk_bytes());
-        fnv1a(&bytes)
-    }
-
-    /// Content-addressed key of one simulation job: the pair identity
-    /// material plus the full machine configuration, REF input index,
-    /// and variant. Stable across processes (it hashes names, program
-    /// text, and option bytes, never registration ids or pointers), so
-    /// it keys the sweep journal: a resumed sweep in a fresh process
-    /// recognises completed jobs by this key alone.
-    pub fn job_key(&self, job: &SimJob, options: &TransformOptions, max_steps: u64) -> u64 {
-        let mut bytes = self.bench_identity_bytes(job.bench, job.predictor, max_steps);
         bytes.extend_from_slice(format!("{:?}", job.machine).as_bytes());
         bytes.push(0);
         bytes.extend_from_slice(&(job.ref_input as u64).to_le_bytes());
@@ -1112,63 +836,6 @@ impl Engine {
         let result = slot.get_or_init(|| {
             computed = true;
             let input = &self.benchmarks[bench];
-            let disk_key = self
-                .disk_cache
-                .as_ref()
-                .map(|_| self.profile_disk_key(bench, predictor, max_steps));
-            let mut claim: Option<ClaimGuard> = None;
-            if let (Some(cache), Some(dk)) = (&self.disk_cache, disk_key) {
-                // Cross-process claim loop: serve a hit, win the claim
-                // and produce, or block on the producing process and
-                // re-load once it finishes. Claims are an economy (two
-                // workers never recompute the same artifact), not a
-                // correctness mechanism — if claiming fails we just
-                // compute and let the atomic store race benignly.
-                loop {
-                    match cache.load(dk) {
-                        Ok(Some(profile)) => {
-                            self.profile_disk_hits.fetch_add(1, Ordering::Relaxed);
-                            for o in &self.observers {
-                                o.stage_completed(
-                                    Stage::Profile,
-                                    &input.name,
-                                    Duration::ZERO,
-                                    true,
-                                );
-                            }
-                            return Ok(Arc::new(profile));
-                        }
-                        Ok(None) => {}
-                        Err(_corrupt) => {
-                            // Quarantined by the cache; recompute below.
-                            self.cache_corrupt.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    match cache.claim(DiskCache::PROFILE_TAG, dk) {
-                        Ok(Some(guard)) => {
-                            // Double-check: a producer may have landed
-                            // the entry between our miss and the lock.
-                            if let Ok(Some(profile)) = cache.load(dk) {
-                                self.profile_disk_hits.fetch_add(1, Ordering::Relaxed);
-                                for o in &self.observers {
-                                    o.stage_completed(
-                                        Stage::Profile,
-                                        &input.name,
-                                        Duration::ZERO,
-                                        true,
-                                    );
-                                }
-                                return Ok(Arc::new(profile));
-                            }
-                            claim = Some(guard);
-                            break;
-                        }
-                        Ok(None) => continue, // producer finished; re-load
-                        Err(_) => break,      // claims unavailable; compute
-                    }
-                }
-            }
             let started = Instant::now();
             let out = vanguard_compiler::profile_program(
                 &input.program,
@@ -1185,16 +852,6 @@ impl Engine {
             for o in &self.observers {
                 o.stage_completed(Stage::Profile, &input.name, elapsed, false);
             }
-            if let (Some(cache), Some(dk), Ok(profile)) = (&self.disk_cache, disk_key, &out) {
-                // A failed store (full disk) is a future cache miss,
-                // never an error: degrade to compute-without-store.
-                if cache.store(dk, profile).is_err() {
-                    self.cache_store_failures.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            // Release the claim only after the store landed, so waiting
-            // processes re-load and hit instead of recomputing.
-            drop(claim);
             out
         });
         if computed {
@@ -1246,58 +903,6 @@ impl Engine {
         let pair = slot.get_or_init(|| {
             computed = true;
             let input = &self.benchmarks[bench];
-            let disk_key = self.disk_cache.as_ref().map(|_| {
-                self.pair_disk_key(bench, predictor, max_steps, machine.width, &key.options)
-            });
-            let mut claim: Option<ClaimGuard> = None;
-            if let (Some(cache), Some(dk)) = (&self.disk_cache, disk_key) {
-                // Same cross-process claim loop as `profile`: hit, or
-                // win the claim and produce, or wait and re-load.
-                loop {
-                    match load_pair(cache, dk) {
-                        PairLoad::Hit(pair) => {
-                            self.pair_disk_hits.fetch_add(1, Ordering::Relaxed);
-                            for o in &self.observers {
-                                o.stage_completed(
-                                    Stage::Compile,
-                                    &input.name,
-                                    Duration::ZERO,
-                                    true,
-                                );
-                            }
-                            return pair;
-                        }
-                        PairLoad::Miss => {}
-                        PairLoad::Corrupt => {
-                            // Quarantined (header or image); recompile.
-                            self.cache_corrupt.fetch_add(1, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                    match cache.claim(PAIR_TAG, dk) {
-                        Ok(Some(guard)) => {
-                            // Double-check: a producer may have landed
-                            // the entry between our miss and the lock.
-                            if let PairLoad::Hit(pair) = load_pair(cache, dk) {
-                                self.pair_disk_hits.fetch_add(1, Ordering::Relaxed);
-                                for o in &self.observers {
-                                    o.stage_completed(
-                                        Stage::Compile,
-                                        &input.name,
-                                        Duration::ZERO,
-                                        true,
-                                    );
-                                }
-                                return pair;
-                            }
-                            claim = Some(guard);
-                            break;
-                        }
-                        Ok(None) => continue, // producer finished; re-load
-                        Err(_) => break,      // claims unavailable; compute
-                    }
-                }
-            }
             let started = Instant::now();
             let exp = Experiment {
                 machine,
@@ -1314,24 +919,13 @@ impl Engine {
             for o in &self.observers {
                 o.stage_completed(Stage::Compile, &input.name, elapsed, false);
             }
-            let pair = CompiledPair {
+            CompiledPair {
                 baseline: Arc::new(baseline),
                 transformed: Arc::new(transformed),
                 baseline_image,
                 transformed_image,
                 report,
-            };
-            if let (Some(cache), Some(dk)) = (&self.disk_cache, disk_key) {
-                // A failed store (full disk) is a future cache miss,
-                // never an error: degrade to compute-without-store.
-                if store_pair(cache, dk, &pair).is_err() {
-                    self.cache_store_failures.fetch_add(1, Ordering::Relaxed);
-                }
             }
-            // Release the claim only after the store landed, so waiting
-            // processes re-load and hit instead of recompiling.
-            drop(claim);
-            pair
         });
         if computed {
             self.compile_misses.fetch_add(1, Ordering::Relaxed);
@@ -1886,126 +1480,34 @@ mod tests {
             max_steps: 1,
         };
         let (engine, ids) = engine_with(1, 1);
+        let job = SimJob {
+            bench: ids[0],
+            ref_input: 0,
+            machine: MachineConfig::four_wide(),
+            predictor: PredictorKind::Combined24KB,
+            variant: Variant::Transformed,
+        };
         let mut compile_keys = Vec::new();
-        let mut disk_keys = Vec::new();
+        let mut job_keys = Vec::new();
         for kind in TransformKind::ALL {
             let opts = TransformOptions {
                 kind,
                 ..TransformOptions::default()
             };
-            let tkey = TransformKey::from_options(&opts);
             compile_keys.push(CompileKey {
                 profile: pk,
                 width: 4,
-                options: tkey,
+                options: TransformKey::from_options(&opts),
             });
-            disk_keys.push(engine.pair_disk_key(
-                ids[0],
-                PredictorKind::Combined24KB,
-                1_000_000,
-                4,
-                &tkey,
-            ));
+            job_keys.push(engine.job_key(&job, &opts, 1_000_000));
         }
         // Every variant of the same (benchmark, profile, width) gets a
-        // distinct in-memory artifact key AND a distinct disk entry.
+        // distinct in-memory artifact key AND a distinct journal key.
         for i in 0..compile_keys.len() {
             for j in i + 1..compile_keys.len() {
                 assert_ne!(compile_keys[i], compile_keys[j]);
-                assert_ne!(disk_keys[i], disk_keys[j]);
+                assert_ne!(job_keys[i], job_keys[j]);
             }
         }
-    }
-
-    #[test]
-    fn pair_disk_cache_roundtrips_per_variant() {
-        let dir =
-            std::env::temp_dir().join(format!("vanguard-paircache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let policy = FaultPolicy {
-            cache_dir: Some(dir.clone()),
-            ..FaultPolicy::default()
-        };
-        let kinds = [TransformKind::Vanguard, TransformKind::Meld];
-
-        let (mut first, ids) = engine_with(1, 1);
-        first.set_fault_policy(policy.clone());
-        let mut originals = Vec::new();
-        for kind in kinds {
-            let opts = TransformOptions {
-                kind,
-                ..TransformOptions::default()
-            };
-            originals.push(
-                first
-                    .compile_pair(
-                        ids[0],
-                        PredictorKind::Combined24KB,
-                        MachineConfig::four_wide(),
-                        &opts,
-                        1_000_000,
-                    )
-                    .unwrap(),
-            );
-        }
-        assert_eq!(first.stats().pair_disk_hits, 0);
-        // The two variants occupy two distinct disk entries.
-        let pair_entries = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("pair-")
-            })
-            .count();
-        assert_eq!(pair_entries, 2);
-        // ...but their images are content-addressed and shared: on this
-        // benchmark the meld pass has nothing to meld, so both kinds
-        // produce byte-identical programs and the four image references
-        // collapse to two entries (one baseline, one transformed).
-        let image_entries = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .starts_with("image-")
-            })
-            .count();
-        assert_eq!(image_entries, 2);
-
-        // A fresh engine (empty in-memory caches) is served from disk,
-        // bit-identically per variant.
-        let (mut second, ids2) = engine_with(1, 1);
-        second.set_fault_policy(policy);
-        for (kind, original) in kinds.into_iter().zip(&originals) {
-            let opts = TransformOptions {
-                kind,
-                ..TransformOptions::default()
-            };
-            let pair = second
-                .compile_pair(
-                    ids2[0],
-                    PredictorKind::Combined24KB,
-                    MachineConfig::four_wide(),
-                    &opts,
-                    1_000_000,
-                )
-                .unwrap();
-            assert_eq!(*pair.baseline, *original.baseline);
-            assert_eq!(*pair.transformed, *original.transformed);
-            assert_eq!(pair.report.converted, original.report.converted);
-            assert_eq!(pair.report.skipped, original.report.skipped);
-            assert_eq!(pair.report.melded, original.report.melded);
-            assert_eq!(
-                pair.report.forward_branches,
-                original.report.forward_branches
-            );
-        }
-        assert_eq!(second.stats().pair_disk_hits, 2);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

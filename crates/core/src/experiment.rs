@@ -50,9 +50,9 @@ pub enum ExperimentError {
     Sim(SimError),
     /// The input had no REF inputs.
     NoRefInputs,
-    /// An engine-level failure (watchdog timeout, worker panic, cache
-    /// corruption) that has no architectural cause; the message is the
-    /// full [`crate::VanguardError`] rendering.
+    /// An engine-level failure (watchdog timeout, worker panic) that
+    /// has no architectural cause; the message is the full
+    /// [`crate::VanguardError`] rendering.
     Engine(String),
 }
 

@@ -9,8 +9,8 @@
 //! skipped, and the merged output is reconstructed from the recorded
 //! payloads without re-running a single job.
 //!
-//! The format is designed around the same crash-safety rules as the
-//! disk cache (DESIGN.md §7.11):
+//! The format follows the same crash-safety rules as the checksummed
+//! entry store (DESIGN.md §7.11):
 //!
 //! * **Append-only** — records are only ever added at the tail under an
 //!   exclusive file lock, so concurrent worker *processes* never

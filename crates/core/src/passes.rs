@@ -25,8 +25,8 @@
 //!
 //! Each pass declares a [`PassContract`] the lint dispatches on
 //! ([`crate::lint_variant`]) and a stable [`TransformPass::cache_id`]
-//! the engine folds into its artifact and disk-cache keys, so two
-//! variants of the same (benchmark, profile, width) can never collide.
+//! the engine folds into its sweep-journal job keys, so two variants of
+//! the same (benchmark, profile, width) can never collide.
 
 use std::fmt;
 
@@ -78,8 +78,8 @@ impl TransformKind {
         }
     }
 
-    /// Stable id folded into artifact and disk-cache keys. Never reuse
-    /// or renumber a value: a stale disk entry keyed under a retired id
+    /// Stable id folded into the sweep journal's job keys. Never reuse
+    /// or renumber a value: a journal record keyed under a retired id
     /// must miss, never alias another variant.
     pub fn cache_id(self) -> u64 {
         match self {

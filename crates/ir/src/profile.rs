@@ -104,70 +104,6 @@ impl Profile {
         v
     }
 
-    /// Serializes to a flat little-endian byte image (for the engine's
-    /// crash-safe disk cache): `dynamic_insts`, site count, then per site
-    /// `(block, executed, taken, predicted_correctly)`.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(16 + self.sites.len() * 28);
-        out.extend_from_slice(&self.dynamic_insts.to_le_bytes());
-        out.extend_from_slice(&(self.sites.len() as u64).to_le_bytes());
-        for (&block, s) in &self.sites {
-            out.extend_from_slice(&block.0.to_le_bytes());
-            out.extend_from_slice(&s.executed.to_le_bytes());
-            out.extend_from_slice(&s.taken.to_le_bytes());
-            out.extend_from_slice(&s.predicted_correctly.to_le_bytes());
-        }
-        out
-    }
-
-    /// Deserializes a [`Profile::to_bytes`] image, validating structure.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the malformation (truncation, trailing
-    /// garbage, or a length/count mismatch).
-    pub fn from_bytes(bytes: &[u8]) -> Result<Profile, &'static str> {
-        fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Result<&'a [u8], &'static str> {
-            if bytes.len() < n {
-                return Err("truncated profile image");
-            }
-            let (head, rest) = bytes.split_at(n);
-            *bytes = rest;
-            Ok(head)
-        }
-        fn take_u64(bytes: &mut &[u8]) -> Result<u64, &'static str> {
-            Ok(u64::from_le_bytes(take(bytes, 8)?.try_into().unwrap()))
-        }
-        let mut rest = bytes;
-        let dynamic_insts = take_u64(&mut rest)?;
-        let count = take_u64(&mut rest)?;
-        if count > (rest.len() as u64) / 28 {
-            return Err("site count exceeds payload length");
-        }
-        let mut sites = BTreeMap::new();
-        for _ in 0..count {
-            let block = u32::from_le_bytes(take(&mut rest, 4)?.try_into().unwrap());
-            let executed = take_u64(&mut rest)?;
-            let taken = take_u64(&mut rest)?;
-            let predicted_correctly = take_u64(&mut rest)?;
-            sites.insert(
-                BlockId(block),
-                BranchSiteStats {
-                    executed,
-                    taken,
-                    predicted_correctly,
-                },
-            );
-        }
-        if !rest.is_empty() {
-            return Err("trailing bytes after profile image");
-        }
-        Ok(Profile {
-            sites,
-            dynamic_insts,
-        })
-    }
-
     /// Misses per thousand profiled instructions across all sites.
     pub fn mppki(&self) -> f64 {
         if self.dynamic_insts == 0 {
@@ -223,38 +159,6 @@ mod tests {
         assert_eq!(top[0].0, BlockId(3));
         assert_eq!(top[1].0, BlockId(1));
         assert_eq!(p.len(), 3);
-    }
-
-    #[test]
-    fn byte_roundtrip_preserves_every_site() {
-        let mut p = Profile::new();
-        p.dynamic_insts = 123_456;
-        for i in 0..50u32 {
-            for j in 0..(i as u64 + 1) {
-                p.record(BlockId(i * 3), j % 3 == 0, j % 2 == 0);
-            }
-        }
-        let bytes = p.to_bytes();
-        let back = Profile::from_bytes(&bytes).unwrap();
-        assert_eq!(back.dynamic_insts, p.dynamic_insts);
-        assert_eq!(back.len(), p.len());
-        for (b, s) in p.iter() {
-            assert_eq!(back.site(b), Some(s));
-        }
-    }
-
-    #[test]
-    fn malformed_bytes_are_rejected() {
-        let mut p = Profile::new();
-        p.record(BlockId(7), true, true);
-        let bytes = p.to_bytes();
-        assert!(Profile::from_bytes(&bytes[..bytes.len() - 1]).is_err());
-        let mut long = bytes.clone();
-        long.push(0);
-        assert!(Profile::from_bytes(&long).is_err());
-        let mut lying = bytes;
-        lying[8] = 200; // claim 200 sites with one site's payload
-        assert!(Profile::from_bytes(&lying).is_err());
     }
 
     #[test]
