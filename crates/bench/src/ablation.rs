@@ -30,12 +30,9 @@ pub struct AblationRow {
     pub sites: [usize; 4],
 }
 
-/// Runs the head-to-head ablation over `specs` on the 4-wide machine.
-///
-/// # Panics
-///
-/// Panics if a workload faults in simulation (generated kernels never
-/// do).
+/// Runs the head-to-head ablation over `specs` on the 4-wide machine. A
+/// benchmark with a job that did not complete under any pass has no row
+/// (see [`SuiteEngine::failed_jobs`]).
 pub fn ablation_rows(eng: &mut SuiteEngine, specs: &[BenchmarkSpec]) -> Vec<AblationRow> {
     let cells: Vec<SweepCell> = specs
         .iter()
@@ -45,12 +42,14 @@ pub fn ablation_rows(eng: &mut SuiteEngine, specs: &[BenchmarkSpec]) -> Vec<Abla
             predictor: PredictorKind::Combined24KB,
         })
         .collect();
-    let mut rows: Vec<AblationRow> = specs
+    let mut rows: Vec<Option<AblationRow>> = specs
         .iter()
-        .map(|spec| AblationRow {
-            name: spec.name.clone(),
-            speedup_pct: [0.0; 4],
-            sites: [0; 4],
+        .map(|spec| {
+            Some(AblationRow {
+                name: spec.name.clone(),
+                speedup_pct: [0.0; 4],
+                sites: [0; 4],
+            })
         })
         .collect();
     for (k, kind) in TransformKind::ALL.into_iter().enumerate() {
@@ -58,15 +57,18 @@ pub fn ablation_rows(eng: &mut SuiteEngine, specs: &[BenchmarkSpec]) -> Vec<Abla
             kind,
             ..TransformOptions::default()
         };
-        let outcomes = eng
-            .run_cells_with(&cells, &options)
-            .expect("workload simulates cleanly");
-        for (row, out) in rows.iter_mut().zip(&outcomes) {
-            row.speedup_pct[k] = out.geomean_speedup_pct();
-            row.sites[k] = out.report.converted.len() + out.report.melded;
+        let outcomes = eng.completed_cells_with(&cells, &options);
+        for (slot, out) in rows.iter_mut().zip(outcomes) {
+            match (slot.as_mut(), out) {
+                (Some(row), Some(out)) => {
+                    row.speedup_pct[k] = out.geomean_speedup_pct();
+                    row.sites[k] = out.report.converted.len() + out.report.melded;
+                }
+                _ => *slot = None,
+            }
         }
     }
-    rows
+    rows.into_iter().flatten().collect()
 }
 
 /// Renders the ablation rows as an aligned text table with a GEOMEAN

@@ -7,17 +7,17 @@
 //! cargo run --release -p vanguard-bench --bin faultinject -- --skip-overhead --out target/r.json
 //! ```
 //!
-//! Exit status is non-zero when any class assertion fails or the armed
-//! watchdog costs ≥ 2 % of clean simulate time (the robustness gate CI
-//! applies). Everything is deterministic in `--seed`.
+//! Exit status is non-zero when any class assertion fails or an armed
+//! per-job cycle budget costs ≥ 2 % of clean simulate time (the
+//! robustness gate CI applies). Everything is deterministic in `--seed`.
 
 use std::fmt::Write as _;
-use vanguard_bench::cli::{flag_value, numeric_flag};
+use vanguard_bench::cli::{check_env, flag_value, numeric_flag};
 use vanguard_bench::faultinject::{
     clean_suite_stats, measure_overhead, run_class, ClassReport, FaultClass,
 };
 
-/// Maximum tolerated watchdog overhead on a clean run, in percent.
+/// Maximum tolerated cycle-budget overhead on a clean run, in percent.
 const OVERHEAD_GATE_PCT: f64 = 2.0;
 
 fn json_str(s: &str) -> String {
@@ -49,6 +49,7 @@ fn usage_error(msg: String) -> ! {
 
 fn main() {
     vanguard_bench::sweep::maybe_run_worker();
+    check_env().unwrap_or_else(|e| usage_error(e));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let seed: u64 = numeric_flag(&args, "--seed", 0)
         .unwrap_or_else(|e| usage_error(e))
@@ -107,7 +108,7 @@ fn main() {
     let overhead = if skip_overhead {
         None
     } else {
-        eprintln!("[faultinject] watchdog overhead, min-of-{rounds} per side ...");
+        eprintln!("[faultinject] cycle-budget overhead, min-of-{rounds} per side ...");
         let o = measure_overhead(rounds);
         eprintln!(
             "[faultinject] clean {:.1} ms, armed {:.1} ms, overhead {:.2}%",
@@ -177,7 +178,7 @@ fn main() {
     if let Some(o) = overhead {
         if o.overhead_pct() >= OVERHEAD_GATE_PCT {
             eprintln!(
-                "[faultinject] FAIL: watchdog overhead {:.2}% exceeds the {OVERHEAD_GATE_PCT}% gate",
+                "[faultinject] FAIL: cycle-budget overhead {:.2}% exceeds the {OVERHEAD_GATE_PCT}% gate",
                 o.overhead_pct()
             );
             std::process::exit(1);

@@ -21,6 +21,11 @@
 //! paper's high-opportunity benchmarks leading the low-opportunity ones —
 //! and exits non-zero on any violation.
 //!
+//! `--max-cycles N` gives every simulation job a cycle budget. A job
+//! that reaches it does not complete: its benchmark's rows are left out
+//! of the figures, one stderr line names the job (benchmark, width,
+//! outcome), and the run exits 1.
+//!
 //! All items share one experiment engine: profiles and compiled pairs
 //! are computed once per distinct (benchmark, predictor, width) and
 //! reused across figures, and simulations run on a worker pool sized by
@@ -31,7 +36,7 @@
 
 use std::sync::Arc;
 use std::time::Instant;
-use vanguard_bench::cli::{flag_value, numeric_flag};
+use vanguard_bench::cli::{check_env, flag_value, numeric_flag};
 use vanguard_bench::{
     ablation_rows, check_ablation_shape, check_fig8_shape, fig14_rows, fig2_fig3_series,
     format_ablation, format_speedups, format_table2, geomean_pct, icache_ablation,
@@ -51,15 +56,15 @@ fn usage_error(msg: String) -> ! {
 }
 
 fn main() {
+    check_env().unwrap_or_else(|e| usage_error(e));
     let mut bad_item = false;
     let mut shape_violated = false;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let verbose = args.iter().any(|a| a == "--verbose");
     let assert_shape = args.iter().any(|a| a == "--assert-shape");
-    // `--max-cycles N` arms the engine's per-job cycle-budget watchdog:
-    // a wedged simulation becomes a TimedOut outcome instead of hanging
-    // the run (`VANGUARD_JOB_TIMEOUT` is the wall-clock equivalent).
+    // `--max-cycles N` gives every job a cycle budget: a wedged
+    // simulation becomes a TimedOut outcome instead of hanging the run.
     let max_cycles: Option<u64> =
         numeric_flag(&args, "--max-cycles", 1).unwrap_or_else(|e| usage_error(e));
     // `--transform <kind>` swaps the pass used by every non-ablation
@@ -303,6 +308,17 @@ fn main() {
     );
     if bad_item {
         std::process::exit(2);
+    }
+    let failed = eng.failed_jobs();
+    if !failed.is_empty() {
+        eprintln!(
+            "[figures] {} jobs did not complete; their benchmarks are left out:",
+            failed.len()
+        );
+        for line in &failed {
+            eprintln!("[figures]   {line}");
+        }
+        std::process::exit(1);
     }
     if shape_violated {
         eprintln!("[shape] shape assertions FAILED");

@@ -5,19 +5,23 @@
 //! stacked) so rival transformations can be diagnosed the same way.
 
 use std::sync::Arc;
-use vanguard_bench::cli::flag_value;
+use vanguard_bench::cli::{check_env, flag_value};
 use vanguard_bench::{BenchScale, StderrProgress, SuiteEngine};
 use vanguard_core::TransformKind;
 use vanguard_sim::MachineConfig;
 use vanguard_workloads::suite;
 
+/// Reports a malformed argument or environment knob and exits 2.
+fn usage_error(msg: String) -> ! {
+    eprintln!("[inspect] {msg}\nusage: inspect [BENCH] [--transform KIND]");
+    std::process::exit(2);
+}
+
 fn main() {
+    check_env().unwrap_or_else(|e| usage_error(e));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let transform: Option<TransformKind> = flag_value(&args, "--transform")
-        .unwrap_or_else(|e| {
-            eprintln!("[inspect] {e}\nusage: inspect [BENCH] [--transform KIND]");
-            std::process::exit(2);
-        })
+        .unwrap_or_else(|e| usage_error(e))
         .map(|v| match TransformKind::parse(v) {
             Some(kind) => kind,
             None => {

@@ -569,6 +569,10 @@ fn json_f(v: f64) -> String {
 }
 
 fn main() {
+    if let Err(e) = vanguard_bench::cli::check_env() {
+        eprintln!("[perfbench] {e}\nusage: perfbench [--check] [--profile-hotloop] [--out FILE]");
+        std::process::exit(2);
+    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let check = args.iter().any(|a| a == "--check");
     let want_hotloop = args.iter().any(|a| a == "--profile-hotloop");

@@ -14,7 +14,7 @@
 //! ```
 
 use std::sync::Arc;
-use vanguard_bench::cli::{flag_value, parse_at_least};
+use vanguard_bench::cli::{check_env, flag_value, parse_at_least};
 use vanguard_bench::StderrProgress;
 use vanguard_bpred::Combined;
 use vanguard_core::engine::{Engine, PredictorKind};
@@ -137,6 +137,7 @@ fn usage_error(msg: String) -> ! {
 }
 
 fn main() {
+    check_env().unwrap_or_else(|e| usage_error(e));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let kind: TransformKind = flag_value(&args, "--transform")
         .unwrap_or_else(|e| usage_error(e))

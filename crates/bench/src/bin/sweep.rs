@@ -20,7 +20,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 use vanguard_bench::cli;
 use vanguard_bench::sweep::{self, run_sharded, ShardOptions, Sweep, SweepRequest, SHARDS_ENV};
-use vanguard_core::engine::FaultPolicy;
+use vanguard_core::engine::{env_count, FaultPolicy};
 use vanguard_core::Journal;
 
 fn usage() -> ! {
@@ -45,15 +45,14 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
 }
 
 fn default_shards() -> usize {
-    std::env::var(SHARDS_ENV)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
+    env_count(SHARDS_ENV)
+        .unwrap_or_else(|e| usage_error(e))
         .unwrap_or(1)
 }
 
 fn main() {
     sweep::maybe_run_worker();
+    cli::check_env().unwrap_or_else(|e| usage_error(e));
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(mode) = args.first().map(String::as_str) else {
         usage();

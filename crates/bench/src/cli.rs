@@ -1,10 +1,24 @@
 //! Flag parsing shared by the harness binaries. A flag that takes a
 //! value must have one, and a numeric value that does not parse, or
 //! falls below the flag's minimum, is a usage error: never a silent
-//! default.
+//! default. The same holds for the numeric `VANGUARD_*` environment
+//! knobs (see [`check_env`]).
 
 use std::fmt::Display;
 use std::str::FromStr;
+use vanguard_core::engine::{env_count, THREADS_ENV};
+
+/// Checks the numeric environment knob every engine reads,
+/// `VANGUARD_THREADS`: unset, or a positive integer. Harness binaries
+/// call this first, so a malformed value exits 2 before anything runs
+/// (the engine itself would panic on it).
+///
+/// # Errors
+///
+/// Names the variable and the rejected value.
+pub fn check_env() -> Result<(), String> {
+    env_count(THREADS_ENV).map(drop)
+}
 
 /// The value slot of flag `name`: `Ok(None)` when the flag is absent.
 ///

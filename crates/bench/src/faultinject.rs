@@ -7,7 +7,7 @@
 //! * the suite **completes** — no process abort, every job yields a
 //!   [`JobResult`];
 //! * the injected failure surfaces as the *typed* outcome for its class
-//!   (`Faulted`, `TimedOut`, or a retried/`Recovered` job), visible in
+//!   (`Faulted`, `TimedOut`, or `Failed` with a worker panic), visible in
 //!   `EngineStats::summary`;
 //! * every **unaffected** job's statistics are bit-identical to a clean
 //!   run — fault handling never perturbs healthy results.
@@ -22,11 +22,10 @@
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
-use std::time::Duration;
 use vanguard_core::engine::{
     Engine, FaultPolicy, JobResult, PredictorKind, SimJob, SweepCell, DEFAULT_MAX_PROFILE_STEPS,
 };
-use vanguard_core::{ExperimentInput, RunInput, TransformOptions};
+use vanguard_core::{ErrorKind, ExperimentInput, RunInput, TransformOptions};
 use vanguard_isa::{AluOp, CmpKind, CondKind, Inst, Memory, Operand, ProgramBuilder, Reg};
 use vanguard_sim::{MachineConfig, SimError, SimStats};
 use vanguard_workloads::suite;
@@ -75,9 +74,10 @@ declare_fault_classes! {
     /// A guest program traps (committed load fault) on one REF input.
     GuestTrap => "guest-trap",
     /// A guest program wedges in an effectively-infinite loop; the
-    /// cycle-budget watchdog must cancel it.
+    /// per-job cycle budget must stop it.
     Hang => "hang",
-    /// A worker thread panics mid-job; the retry must recover it.
+    /// A worker thread panics mid-job; the panic must stay inside that
+    /// job's outcome.
     WorkerPanic => "worker-panic",
     /// A sweep worker *process* is `SIGKILL`ed mid-sweep; the resumed
     /// sweep must complete off the journal with no job's side effects
@@ -115,37 +115,27 @@ impl ClassReport {
     }
 }
 
-/// Watchdog overhead on a clean run (the < 2 % gate of
+/// Cycle-budget overhead on a clean run (the < 2 % gate of
 /// `BENCH_robustness.json`).
 #[derive(Clone, Copy, Debug)]
 pub struct OverheadReport {
     /// Measurement rounds (min-of-N on each side).
     pub rounds: usize,
-    /// Best worker-summed simulate-stage time with watchdogs disabled.
+    /// Best worker-summed simulate-stage time with no policy budget.
     pub clean_sim_ms: f64,
-    /// Best worker-summed simulate-stage time with both watchdogs armed
-    /// at non-tripping budgets.
+    /// Best worker-summed simulate-stage time with a non-tripping
+    /// policy cycle budget armed.
     pub armed_sim_ms: f64,
 }
 
 impl OverheadReport {
-    /// Relative cost of arming the watchdogs, in percent (clamped at 0:
+    /// Relative cost of arming the budget, in percent (clamped at 0:
     /// a faster armed run is measurement noise, not a negative cost).
     pub fn overhead_pct(&self) -> f64 {
         if self.clean_sim_ms <= 0.0 {
             return 0.0;
         }
         ((self.armed_sim_ms - self.clean_sim_ms) / self.clean_sim_ms * 100.0).max(0.0)
-    }
-}
-
-/// A policy independent of the caller's environment (the harness never
-/// wants `VANGUARD_*` variables steering a determinism gate), with a
-/// short retry backoff to keep scenario runs fast.
-fn isolated_policy() -> FaultPolicy {
-    FaultPolicy {
-        backoff: Duration::from_millis(1),
-        ..FaultPolicy::default()
     }
 }
 
@@ -160,6 +150,8 @@ fn suite_inputs() -> Vec<ExperimentInput> {
 /// Builds an engine holding the fault suite (plus an optional victim
 /// benchmark appended *after* the suite, so suite job indices match the
 /// clean run), returning the flat job list and the suite-only job count.
+/// The caller passes the whole policy: no `VANGUARD_*` variable steers a
+/// determinism gate.
 fn engine_with_suite(
     victim: Option<ExperimentInput>,
     policy: FaultPolicy,
@@ -197,10 +189,10 @@ fn run_all(engine: &Engine, jobs: &[SimJob]) -> Vec<JobResult> {
 }
 
 /// The clean-run reference: per-job [`SimStats`] of the fault suite with
-/// no victim and no watchdogs. Every scenario's non-perturbation check
+/// no victim and no cycle budget. Every scenario's non-perturbation check
 /// compares against this, bitwise.
 pub fn clean_suite_stats() -> Vec<SimStats> {
-    let (engine, jobs, _) = engine_with_suite(None, isolated_policy());
+    let (engine, jobs, _) = engine_with_suite(None, FaultPolicy::default());
     run_all(&engine, &jobs)
         .iter()
         .map(|r| r.expect_completed().stats)
@@ -236,7 +228,7 @@ pub fn trap_victim() -> ExperimentInput {
 
 /// A benchmark that halts after 64 iterations on TRAIN but spins for
 /// 2^64 iterations on REF (`r1` starts at 0 and wraps): the hang victim
-/// only a watchdog can stop.
+/// only a cycle budget can stop.
 pub fn hang_victim() -> ExperimentInput {
     let mut pb = ProgramBuilder::new();
     let spin = pb.block("spin");
@@ -311,8 +303,10 @@ fn suite_identical(results: &[JobResult], clean: &[SimStats]) -> (bool, String) 
 fn guest_trap_class(scratch: &Path, clean: &[SimStats]) -> ClassReport {
     let qdir = scratch.join("quarantine-guest-trap");
     let _ = fs::remove_dir_all(&qdir);
-    let mut policy = isolated_policy();
-    policy.quarantine_dir = Some(qdir.clone());
+    let policy = FaultPolicy {
+        max_cycles: None,
+        quarantine_dir: Some(qdir.clone()),
+    };
     let (engine, jobs, nsuite) = engine_with_suite(Some(trap_victim()), policy);
     let results = run_all(&engine, &jobs);
     let stats = engine.stats();
@@ -369,7 +363,7 @@ fn guest_trap_class(scratch: &Path, clean: &[SimStats]) -> ClassReport {
     // Replayability: a fresh engine reproduces the identical trap.
     let (replay_engine, replay_jobs, _) = {
         let mut engine = Engine::new();
-        engine.set_fault_policy(isolated_policy());
+        engine.set_fault_policy(FaultPolicy::default());
         let bench = engine.add_benchmark(trap_victim());
         let jobs = engine.jobs_for_cells(&[SweepCell {
             bench,
@@ -413,8 +407,10 @@ fn hang_class(clean: &[SimStats]) -> ClassReport {
     // Budget: far above anything a healthy suite job needs, far below
     // the victim's 2^64-iteration spin.
     let budget = clean.iter().map(|s| s.cycles).max().unwrap_or(0) * 4 + 100_000;
-    let mut policy = isolated_policy();
-    policy.max_cycles = Some(budget);
+    let policy = FaultPolicy {
+        max_cycles: Some(budget),
+        quarantine_dir: None,
+    };
     let (engine, jobs, nsuite) = engine_with_suite(Some(hang_victim()), policy);
     let results = run_all(&engine, &jobs);
     let stats = engine.stats();
@@ -451,34 +447,41 @@ fn hang_class(clean: &[SimStats]) -> ClassReport {
 }
 
 fn worker_panic_class(seed: u64, clean: &[SimStats]) -> ClassReport {
-    let (engine, jobs, _) = engine_with_suite(None, isolated_policy());
+    let (engine, jobs, _) = engine_with_suite(None, FaultPolicy::default());
     let target = (seed as usize) % jobs.len();
-    engine.inject_worker_panic(target, 1);
+    engine.inject_worker_panic(target);
     let results = run_all(&engine, &jobs);
     let stats = engine.stats();
     let mut checks = Vec::new();
 
-    push_check(
-        &mut checks,
-        "panicked job recovers via retry",
-        results[target].is_completed() && results[target].retried(),
-        format!("job {target}: {:?}", results[target]),
+    let bench_name = &engine.benchmark(jobs[target].bench).name;
+    let typed = matches!(
+        &results[target],
+        JobResult::Failed { error, .. }
+            if matches!(error.kind, ErrorKind::WorkerPanic { .. })
+                && error.benchmark.as_ref() == Some(bench_name)
     );
-    let (same, detail) = suite_identical(&results, clean);
     push_check(
         &mut checks,
-        "recovered run is bit-identical to clean",
+        "panicked job fails as a worker panic naming its benchmark",
+        typed,
+        format!("job {target} ({bench_name}): {:?}", results[target]),
+    );
+    let (mut others, mut others_clean) = (results.clone(), clean.to_vec());
+    others.remove(target);
+    others_clean.remove(target);
+    let (same, detail) = suite_identical(&others, &others_clean);
+    push_check(
+        &mut checks,
+        "every other job is bit-identical to clean",
         same,
         detail,
     );
     push_check(
         &mut checks,
-        "summary counts the retry, no failures",
-        stats.jobs_retried == 1 && stats.jobs_failed == 0 && stats.summary().contains("retried"),
-        format!(
-            "jobs_retried = {}, jobs_failed = {}",
-            stats.jobs_retried, stats.jobs_failed
-        ),
+        "summary counts 1 failed",
+        stats.jobs_failed == 1 && stats.summary().contains(" 1 failed"),
+        format!("jobs_failed = {}", stats.jobs_failed),
     );
     ClassReport {
         class: FaultClass::WorkerPanic,
@@ -538,7 +541,7 @@ fn kill_and_resume_class(seed: u64, scratch: &Path) -> ClassReport {
     for shards in KILL_RESUME_SHARDS {
         let dir = scratch.join(format!("kill-resume-{shards}"));
         let _ = fs::remove_dir_all(&dir);
-        let sweep_run = match Sweep::build(request.clone(), isolated_policy()) {
+        let sweep_run = match Sweep::build(request.clone(), FaultPolicy::default()) {
             Ok(s) => s,
             Err(e) => {
                 push_check(&mut checks, "sharded sweep builds", false, e);
@@ -628,7 +631,7 @@ fn kill_and_resume_class(seed: u64, scratch: &Path) -> ClassReport {
 /// Returns `Err(check)` with a failed check when the build fails.
 fn serial_reference() -> Result<String, Check> {
     use crate::sweep::{Sweep, SweepRequest};
-    match Sweep::build(SweepRequest::ci_quick(), isolated_policy()) {
+    match Sweep::build(SweepRequest::ci_quick(), FaultPolicy::default()) {
         Ok(sweep) => Ok(sweep.run_serial()),
         Err(e) => Err(Check {
             name: "serial reference sweep builds",
@@ -650,18 +653,17 @@ pub fn run_class(class: FaultClass, seed: u64, scratch: &Path, clean: &[SimStats
     }
 }
 
-/// Measures the simulate-stage cost of arming both watchdogs at
-/// non-tripping budgets, min-of-`rounds` per side (the
-/// `BENCH_robustness.json` overhead figure).
+/// Measures the simulate-stage cost of arming a non-tripping policy
+/// cycle budget, min-of-`rounds` per side (the `BENCH_robustness.json`
+/// overhead figure).
 pub fn measure_overhead(rounds: usize) -> OverheadReport {
     let run_side = |armed: bool| -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..rounds.max(1) {
-            let mut policy = isolated_policy();
-            if armed {
-                policy.max_cycles = Some(u64::MAX / 2);
-                policy.job_timeout = Some(Duration::from_secs(3600));
-            }
+            let policy = FaultPolicy {
+                max_cycles: armed.then_some(u64::MAX / 2),
+                quarantine_dir: None,
+            };
             let (engine, jobs, _) = engine_with_suite(None, policy);
             run_all(&engine, &jobs);
             best = best.min(engine.stats().sim_nanos as f64 / 1e6);
@@ -698,7 +700,7 @@ mod tests {
     #[test]
     fn trap_victim_profiles_cleanly_but_faults_on_ref() {
         let mut engine = Engine::new();
-        engine.set_fault_policy(isolated_policy());
+        engine.set_fault_policy(FaultPolicy::default());
         let bench = engine.add_benchmark(trap_victim());
         let jobs = engine.jobs_for_cells(&[SweepCell {
             bench,

@@ -74,11 +74,8 @@ pub struct IssuedRow {
     pub increase_pct: f64,
 }
 
-/// Regenerates Figure 14.
-///
-/// # Panics
-///
-/// Panics if a workload faults in simulation.
+/// Regenerates Figure 14. A benchmark with a job that did not complete
+/// has no row (see [`SuiteEngine::failed_jobs`]).
 pub fn fig14_rows(eng: &mut SuiteEngine, specs: &[BenchmarkSpec]) -> Vec<IssuedRow> {
     let cells: Vec<SweepCell> = specs
         .iter()
@@ -88,13 +85,15 @@ pub fn fig14_rows(eng: &mut SuiteEngine, specs: &[BenchmarkSpec]) -> Vec<IssuedR
             predictor: PredictorKind::Combined24KB,
         })
         .collect();
-    let outcomes = eng.run_cells(&cells).expect("workload simulates cleanly");
+    let outcomes = eng.completed_cells(&cells);
     specs
         .iter()
         .zip(&outcomes)
-        .map(|(spec, out)| IssuedRow {
-            name: spec.name.clone(),
-            increase_pct: out.issued_increase_pct(),
+        .filter_map(|(spec, out)| {
+            Some(IssuedRow {
+                name: spec.name.clone(),
+                increase_pct: out.as_ref()?.issued_increase_pct(),
+            })
         })
         .collect()
 }
@@ -115,11 +114,8 @@ pub struct SensitivityRow {
 
 /// Regenerates the §5.3 predictor-sensitivity sweep for the given
 /// benchmarks (the paper uses astar, sjeng, gobmk, mcf) over the full
-/// ladder.
-///
-/// # Panics
-///
-/// Panics if a workload faults in simulation.
+/// ladder. A (benchmark, rung) pair with a job that did not complete has
+/// no row (see [`SuiteEngine::failed_jobs`]).
 pub fn sensitivity_rows(eng: &mut SuiteEngine, specs: &[BenchmarkSpec]) -> Vec<SensitivityRow> {
     // Flat (benchmark × rung) matrix: every rung's profile + compile +
     // sims run concurrently on the pool.
@@ -135,10 +131,11 @@ pub fn sensitivity_rows(eng: &mut SuiteEngine, specs: &[BenchmarkSpec]) -> Vec<S
             })
         })
         .collect();
-    let outcomes = eng.run_cells(&cells).expect("workload simulates cleanly");
+    let outcomes = eng.completed_cells(&cells);
     let mut rows = Vec::new();
     for (spec, outs) in specs.iter().zip(outcomes.chunks_exact(ladder.len())) {
         for (rung, out) in ladder.iter().zip(outs) {
+            let Some(out) = out else { continue };
             let miss_rate = 1.0
                 - out
                     .runs
@@ -182,11 +179,8 @@ impl IcacheAblationRow {
 }
 
 /// Regenerates the §6.1 I$ experiment: transformed programs run on the
-/// Table 1 machine and on the 24 KB-I$ variant.
-///
-/// # Panics
-///
-/// Panics if a workload faults in simulation.
+/// Table 1 machine and on the 24 KB-I$ variant. A benchmark with a job
+/// that did not complete has no row (see [`SuiteEngine::failed_jobs`]).
 pub fn icache_ablation(eng: &mut SuiteEngine, specs: &[BenchmarkSpec]) -> Vec<IcacheAblationRow> {
     // Only the transformed variant is needed, so this sweep is a raw job
     // list rather than full cells. The two machines differ only in I$
@@ -213,19 +207,16 @@ pub fn icache_ablation(eng: &mut SuiteEngine, specs: &[BenchmarkSpec]) -> Vec<Ic
     specs
         .iter()
         .zip(results.chunks_exact(2))
-        .map(|(spec, pair)| {
-            let (s32, s24) = (
-                pair[0].expect_completed().stats,
-                pair[1].expect_completed().stats,
-            );
+        .filter_map(|(spec, pair)| {
+            let (s32, s24) = (&pair[0].success()?.stats, &pair[1].success()?.stats);
             let total_icache_misses = s32.mem.l1i.misses.max(1);
-            IcacheAblationRow {
+            Some(IcacheAblationRow {
                 name: spec.name.clone(),
                 cycles_32k: s32.cycles,
                 cycles_24k: s24.cycles,
                 miss_under_mispredict: s32.icache_miss_under_mispredict as f64
                     / total_icache_misses as f64,
-            }
+            })
         })
         .collect()
 }

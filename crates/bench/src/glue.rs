@@ -3,13 +3,13 @@
 //! engine.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use vanguard_core::engine::{
-    Engine, FaultPolicy, PredictorKind, ProgressObserver, SimJob, SweepCell,
+    Engine, FaultPolicy, JobResult, PredictorKind, ProgressObserver, SimJob, SweepCell, Variant,
     DEFAULT_MAX_PROFILE_STEPS,
 };
 use vanguard_core::{
-    ExperimentError, ExperimentInput, ExperimentOutcome, RunInput, TransformKind, TransformOptions,
+    ExperimentInput, ExperimentOutcome, RunInput, TransformKind, TransformOptions, VanguardError,
 };
 use vanguard_ir::Profile;
 use vanguard_sim::MachineConfig;
@@ -93,35 +93,75 @@ pub fn quick_spec(mut spec: BenchmarkSpec, scale: BenchScale) -> BenchmarkSpec {
 /// compiled pair per benchmark × width, across *all* items of a run).
 ///
 /// Construct one per harness invocation, subscribe observers, and pass
-/// it to the figure functions.
+/// it to the figure functions. The figure functions leave out the rows
+/// of benchmarks with a job that did not complete; those jobs are listed
+/// by [`SuiteEngine::failed_jobs`].
 #[derive(Debug)]
 pub struct SuiteEngine {
     engine: Engine,
     scale: BenchScale,
     ids: HashMap<String, usize>,
     transform: TransformOptions,
+    failed: Arc<FailedJobs>,
+}
+
+/// Records one line per job that did not complete.
+#[derive(Debug, Default)]
+struct FailedJobs(Mutex<Vec<String>>);
+
+impl ProgressObserver for FailedJobs {
+    fn job_failed(&self, _index: usize, job: &SimJob, bench_name: &str, outcome: &JobResult) {
+        let Some(error) = outcome.as_error(bench_name, None) else {
+            return;
+        };
+        let variant = match job.variant {
+            Variant::Baseline => "baseline",
+            Variant::Transformed => "transformed",
+        };
+        let line = format!(
+            "{bench_name} {}-wide ref{} {variant}: {}",
+            job.machine.width, job.ref_input, error.kind
+        );
+        self.0.lock().unwrap_or_else(|e| e.into_inner()).push(line);
+    }
 }
 
 impl SuiteEngine {
     /// A suite engine at the given scale with default worker count
     /// (`VANGUARD_THREADS` override honoured).
     pub fn new(scale: BenchScale) -> Self {
-        SuiteEngine {
-            engine: Engine::new(),
-            scale,
-            ids: HashMap::new(),
-            transform: TransformOptions::default(),
-        }
+        Self::on(Engine::new(), scale)
     }
 
     /// A suite engine with an explicit worker count (1 = serial).
     pub fn with_workers(scale: BenchScale, workers: usize) -> Self {
+        Self::on(Engine::with_workers(workers), scale)
+    }
+
+    fn on(mut engine: Engine, scale: BenchScale) -> Self {
+        let failed = Arc::new(FailedJobs::default());
+        engine.observe(failed.clone());
         SuiteEngine {
-            engine: Engine::with_workers(workers),
+            engine,
             scale,
             ids: HashMap::new(),
             transform: TransformOptions::default(),
+            failed,
         }
+    }
+
+    /// One line per job run so far that did not complete — benchmark,
+    /// width, REF input, variant and outcome — sorted, so the list does
+    /// not depend on the worker count.
+    pub fn failed_jobs(&self) -> Vec<String> {
+        let mut lines = self
+            .failed
+            .0
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .clone();
+        lines.sort();
+        lines
     }
 
     /// Selects the transform pass for subsequent [`SuiteEngine::run_cells`]
@@ -142,8 +182,8 @@ impl SuiteEngine {
         self.engine.observe(observer);
     }
 
-    /// Overrides the underlying engine's fault policy (watchdog
-    /// budgets, retry behaviour, quarantine directory).
+    /// Overrides the underlying engine's fault policy (cycle budget,
+    /// quarantine directory).
     pub fn set_fault_policy(&mut self, policy: FaultPolicy) {
         self.engine.set_fault_policy(policy);
     }
@@ -180,7 +220,7 @@ impl SuiteEngine {
         &mut self,
         spec: &BenchmarkSpec,
         predictor: PredictorKind,
-    ) -> Result<Arc<Profile>, ExperimentError> {
+    ) -> Result<Arc<Profile>, VanguardError> {
         let id = self.bench_id(spec);
         self.engine
             .profile(id, predictor, DEFAULT_MAX_PROFILE_STEPS)
@@ -193,10 +233,7 @@ impl SuiteEngine {
     /// # Errors
     ///
     /// Returns the first (by job index) profiling or simulation error.
-    pub fn run_cells(
-        &self,
-        cells: &[SweepCell],
-    ) -> Result<Vec<ExperimentOutcome>, ExperimentError> {
+    pub fn run_cells(&self, cells: &[SweepCell]) -> Result<Vec<ExperimentOutcome>, VanguardError> {
         self.run_cells_with(cells, &self.transform)
     }
 
@@ -210,9 +247,30 @@ impl SuiteEngine {
         &self,
         cells: &[SweepCell],
         options: &TransformOptions,
-    ) -> Result<Vec<ExperimentOutcome>, ExperimentError> {
+    ) -> Result<Vec<ExperimentOutcome>, VanguardError> {
         self.engine
             .run_cells(cells, options, DEFAULT_MAX_PROFILE_STEPS)
+    }
+
+    /// Runs a sweep matrix with an explicit option set, one entry per
+    /// cell: `None` for a cell with a job that did not complete (the job
+    /// is then listed by [`SuiteEngine::failed_jobs`]).
+    pub(crate) fn completed_cells_with(
+        &self,
+        cells: &[SweepCell],
+        options: &TransformOptions,
+    ) -> Vec<Option<ExperimentOutcome>> {
+        self.engine
+            .run_cells_tolerant(cells, options, DEFAULT_MAX_PROFILE_STEPS)
+            .into_iter()
+            .map(Result::ok)
+            .collect()
+    }
+
+    /// [`SuiteEngine::completed_cells_with`] under the configured
+    /// transform options.
+    pub(crate) fn completed_cells(&self, cells: &[SweepCell]) -> Vec<Option<ExperimentOutcome>> {
+        self.completed_cells_with(cells, &self.transform)
     }
 
     /// Runs a flat job list with the configured transform options.

@@ -21,11 +21,9 @@ pub struct SpeedupRow {
 ///
 /// The whole figure is enumerated as one flat cell matrix (benchmarks ×
 /// widths) and executed on the engine's worker pool; profiles are shared
-/// across the three widths of each benchmark.
-///
-/// # Panics
-///
-/// Panics if a workload faults in simulation (generated kernels never do).
+/// across the three widths of each benchmark. A benchmark with a job that
+/// did not complete at any width has no row (see
+/// [`SuiteEngine::failed_jobs`]).
 pub fn suite_speedups(eng: &mut SuiteEngine, specs: &[BenchmarkSpec]) -> Vec<SpeedupRow> {
     let cells: Vec<SweepCell> = specs
         .iter()
@@ -40,22 +38,23 @@ pub fn suite_speedups(eng: &mut SuiteEngine, specs: &[BenchmarkSpec]) -> Vec<Spe
                 })
         })
         .collect();
-    let outcomes = eng.run_cells(&cells).expect("workload simulates cleanly");
+    let outcomes = eng.completed_cells(&cells);
     specs
         .iter()
         .zip(outcomes.chunks_exact(3))
-        .map(|(spec, outs)| {
+        .filter_map(|(spec, outs)| {
             let mut all = [0.0; 3];
             let mut best = [0.0; 3];
             for (i, out) in outs.iter().enumerate() {
+                let out = out.as_ref()?;
                 all[i] = out.geomean_speedup_pct();
                 best[i] = out.best_speedup_pct();
             }
-            SpeedupRow {
+            Some(SpeedupRow {
                 name: spec.name.clone(),
                 all_inputs: all,
                 best_input: best,
-            }
+            })
         })
         .collect()
 }
@@ -87,11 +86,8 @@ pub struct Table2Row {
 /// Computes the full Table 2 for a set of benchmarks on the 4-wide.
 ///
 /// 4-wide compiled pairs and profiles are shared with any other figure
-/// item already run on the same engine.
-///
-/// # Panics
-///
-/// Panics if a workload faults in simulation.
+/// item already run on the same engine. A benchmark with a job that did
+/// not complete has no row (see [`SuiteEngine::failed_jobs`]).
 pub fn table2_rows(eng: &mut SuiteEngine, specs: &[BenchmarkSpec]) -> Vec<Table2Row> {
     let cells: Vec<SweepCell> = specs
         .iter()
@@ -101,14 +97,14 @@ pub fn table2_rows(eng: &mut SuiteEngine, specs: &[BenchmarkSpec]) -> Vec<Table2
             predictor: PredictorKind::Combined24KB,
         })
         .collect();
-    let outcomes = eng.run_cells(&cells).expect("workload simulates cleanly");
+    let outcomes = eng.completed_cells(&cells);
     specs
         .iter()
         .zip(&cells)
         .zip(&outcomes)
-        .map(|((spec, cell), out)| {
+        .filter_map(|((spec, cell), out)| {
             let alpbb = static_alpbb(&eng.engine().benchmark(cell.bench).program);
-            table2_row_from(spec, out, alpbb)
+            Some(table2_row_from(spec, out.as_ref()?, alpbb))
         })
         .collect()
 }

@@ -389,7 +389,7 @@ impl Sweep {
     }
 
     /// Runs one planned job and encodes its outcome as a journal
-    /// payload (deterministic: wall-clock and retry metadata excluded).
+    /// payload (deterministic: the simulate-stage wall time is excluded).
     pub fn run_job(&self, pj: &PlannedJob) -> String {
         let result =
             self.engine
@@ -502,9 +502,9 @@ fn single_line(s: String) -> String {
     s.replace('\n', " ")
 }
 
-/// Encodes a job outcome as a deterministic journal payload. Wall-clock
-/// fields and the retry flag are deliberately excluded: a resumed run
-/// must merge byte-identically to an uninterrupted one.
+/// Encodes a job outcome as a deterministic journal payload. The
+/// simulate-stage wall time is deliberately excluded: a resumed run must
+/// merge byte-identically to an uninterrupted one.
 pub fn encode_outcome(result: &JobResult) -> String {
     match result {
         JobResult::Completed(s) => {

@@ -7,8 +7,9 @@
 //!   (Table 1: "GShare, 24 KB 3-table direction predictor"), a local-history
 //!   [`TwoLevel`] predictor, and [`Tage`] / [`IslTage`] for the §5.3
 //!   sensitivity ladder.
-//! * Front-end structures — a 4K-entry [`Btb`] and 64-entry [`Ras`]
-//!   (Table 1).
+//! * Front-end structures — a 4K-entry [`Btb`] (Table 1). Returns are
+//!   steered from the simulator's precise call stack, so the Table 1
+//!   64-entry RAS has no model here.
 //! * The paper's contribution-enabling hardware: the
 //!   [`DecomposedBranchBuffer`] (§4, Figure 7) — a small FIFO that
 //!   re-associates each `resolve` instruction with the predictor metadata of
@@ -39,7 +40,6 @@ mod gshare;
 mod ladder;
 mod measure;
 mod meta;
-mod ras;
 mod tage;
 mod twolevel;
 
@@ -50,6 +50,5 @@ pub use gshare::{Combined, Gshare};
 pub use ladder::{ladder, LadderRung};
 pub use measure::{measure_accuracy, AccuracyReport};
 pub use meta::{DirectionPredictor, PredMeta, SaturatingCounter};
-pub use ras::Ras;
 pub use tage::{IslTage, Tage, TageConfig};
 pub use twolevel::TwoLevel;

@@ -26,23 +26,23 @@
 //! # Fault tolerance
 //!
 //! A failing job never aborts the suite. Each worker wraps its job in a
-//! containment boundary: guest traps become [`JobResult::Faulted`],
-//! watchdog cancellations (see [`FaultPolicy`]) become
+//! containment boundary: guest traps become [`JobResult::Faulted`], a
+//! run stopped by its cycle budget (see [`FaultPolicy`]) becomes
 //! [`JobResult::TimedOut`], and worker panics become
 //! [`JobResult::Failed`] with a [`VanguardError`] carrying stage,
-//! benchmark, and seed context. Transient failures are retried once
-//! with backoff; repeat failures are quarantined with a replayable
-//! reproducer. Artifacts live in engine memory only: a process
-//! profiles and compiles each key itself. See DESIGN.md §7.8 for the
-//! fault model.
+//! benchmark, and seed context. A job is a pure function of its inputs,
+//! so nothing is retried: every outcome is reproducible, and
+//! non-completed jobs are quarantined with a replayable reproducer.
+//! Artifacts live in engine memory only: a process profiles and
+//! compiles each key itself. See DESIGN.md §7.8 for the fault model.
 
 use crate::diskcache::fnv1a;
 use crate::error::{ErrorKind, VanguardError};
-use crate::experiment::{Experiment, ExperimentError, ExperimentInput, ExperimentOutcome, RefRun};
+use crate::experiment::{Experiment, ExperimentInput, ExperimentOutcome, RefRun};
 use crate::passes::TransformKind;
 use crate::report::TransformReport;
 use crate::transform::TransformOptions;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -96,8 +96,6 @@ pub struct JobSuccess {
     /// Wall-clock time of the simulate stage alone (excludes cached or
     /// shared profile/compile work).
     pub sim_elapsed: Duration,
-    /// Whether this result came from a retry after a transient failure.
-    pub retried: bool,
 }
 
 impl JobSuccess {
@@ -109,7 +107,8 @@ impl JobSuccess {
 }
 
 /// Outcome of one [`SimJob`] — the engine's containment boundary. A
-/// trapping guest, a wedged simulation, or a panicking worker produces
+/// trapping guest, a run that exhausts its cycle budget, or a panicking
+/// worker produces
 /// a non-[`Completed`](JobResult::Completed) variant here; it never
 /// aborts the process or the rest of the suite.
 #[derive(Clone, Debug)]
@@ -127,20 +126,15 @@ pub enum JobResult {
         pc: u64,
         /// Cycle the fault was detected at.
         cycle: u64,
-        /// Whether a retry preceded this outcome.
-        retried: bool,
     },
-    /// A watchdog (cycle budget or wall-clock deadline) cancelled the
-    /// simulation cooperatively.
+    /// The simulation reached its cycle budget (the smaller of
+    /// `MachineConfig::max_cycles` and [`FaultPolicy::max_cycles`])
+    /// before it halted.
     TimedOut {
-        /// The cancelled job.
+        /// The stopped job.
         job: SimJob,
-        /// Cycles simulated before cancellation.
+        /// Cycles simulated: the budget.
         cycles: u64,
-        /// Wall-clock milliseconds before cancellation.
-        wall_ms: u64,
-        /// Whether a retry preceded this outcome.
-        retried: bool,
     },
     /// The job failed outside the guest: profiling error, worker panic,
     /// or another engine-level failure.
@@ -149,8 +143,6 @@ pub enum JobResult {
         job: SimJob,
         /// Full failure context.
         error: Box<VanguardError>,
-        /// Whether a retry preceded this outcome.
-        retried: bool,
     },
 }
 
@@ -176,16 +168,6 @@ impl JobResult {
     /// Whether the job completed.
     pub fn is_completed(&self) -> bool {
         matches!(self, JobResult::Completed(_))
-    }
-
-    /// Whether a transient-failure retry preceded this outcome.
-    pub fn retried(&self) -> bool {
-        match self {
-            JobResult::Completed(s) => s.retried,
-            JobResult::Faulted { retried, .. }
-            | JobResult::TimedOut { retried, .. }
-            | JobResult::Failed { retried, .. } => *retried,
-        }
     }
 
     /// The success payload; panics with the failure context otherwise.
@@ -218,12 +200,7 @@ impl JobResult {
                 pc: *pc,
                 cycle: *cycle,
             },
-            JobResult::TimedOut {
-                cycles, wall_ms, ..
-            } => ErrorKind::Timeout {
-                cycles: *cycles,
-                wall_ms: *wall_ms,
-            },
+            JobResult::TimedOut { cycles, .. } => ErrorKind::Timeout { cycles: *cycles },
             JobResult::Failed { error, .. } => return Some((**error).clone()),
         };
         Some(
@@ -232,67 +209,31 @@ impl JobResult {
                 .with_seed(seed),
         )
     }
-
-    fn set_retried(&mut self, value: bool) {
-        match self {
-            JobResult::Completed(s) => s.retried = value,
-            JobResult::Faulted { retried, .. }
-            | JobResult::TimedOut { retried, .. }
-            | JobResult::Failed { retried, .. } => *retried = value,
-        }
-    }
 }
 
-/// Fault-tolerance policy of an [`Engine`]: watchdog budgets, retry
-/// behaviour, and the quarantine directory.
-#[derive(Clone, Debug)]
+/// Fault-tolerance policy of an [`Engine`]: the per-job cycle budget
+/// and the quarantine directory.
+#[derive(Clone, Debug, Default)]
 pub struct FaultPolicy {
-    /// Per-job wall-clock budget (`VANGUARD_JOB_TIMEOUT` seconds);
-    /// `None` disables the wall-clock watchdog.
-    pub job_timeout: Option<Duration>,
-    /// Per-job simulated-cycle budget (`--max-cycles`); `None` disables
-    /// the cycle watchdog.
+    /// Per-job simulated-cycle budget (`--max-cycles`); `None` leaves
+    /// only the machine's own `MachineConfig::max_cycles`. A job that
+    /// reaches its budget ends as [`JobResult::TimedOut`].
     pub max_cycles: Option<u64>,
-    /// Retry a transient failure (a worker panic) once.
-    pub retry_transient: bool,
-    /// Backoff before the retry.
-    pub backoff: Duration,
-    /// Where to write replayable reproducers for jobs that still fail
-    /// after retry (`VANGUARD_QUARANTINE_DIR`); `None` disables.
+    /// Where to write replayable reproducers for jobs that do not
+    /// complete (`VANGUARD_QUARANTINE_DIR`); `None` disables.
     pub quarantine_dir: Option<PathBuf>,
 }
 
-impl Default for FaultPolicy {
-    fn default() -> Self {
-        FaultPolicy {
-            job_timeout: None,
-            max_cycles: None,
-            retry_transient: true,
-            backoff: Duration::from_millis(50),
-            quarantine_dir: None,
-        }
-    }
-}
-
 impl FaultPolicy {
-    /// The default policy with the environment overrides applied:
-    /// `VANGUARD_JOB_TIMEOUT` (seconds, fractional allowed) and
-    /// `VANGUARD_QUARANTINE_DIR`.
+    /// The default policy with `VANGUARD_QUARANTINE_DIR` applied.
     pub fn from_env() -> Self {
-        let mut policy = FaultPolicy::default();
-        if let Ok(v) = std::env::var("VANGUARD_JOB_TIMEOUT") {
-            if let Ok(secs) = v.trim().parse::<f64>() {
-                if secs > 0.0 {
-                    policy.job_timeout = Some(Duration::from_secs_f64(secs));
-                }
-            }
+        FaultPolicy {
+            max_cycles: None,
+            quarantine_dir: std::env::var("VANGUARD_QUARANTINE_DIR")
+                .ok()
+                .filter(|v| !v.trim().is_empty())
+                .map(PathBuf::from),
         }
-        if let Ok(v) = std::env::var("VANGUARD_QUARANTINE_DIR") {
-            if !v.trim().is_empty() {
-                policy.quarantine_dir = Some(PathBuf::from(v));
-            }
-        }
-        policy
     }
 }
 
@@ -448,14 +389,14 @@ pub trait ProgressObserver: Send + Sync {
         let _ = (index, job, bench_name, stats, elapsed);
     }
 
-    /// A job ended in a non-completed outcome (guest trap, watchdog
-    /// timeout, or engine failure), after any retry.
+    /// A job ended in a non-completed outcome (guest trap, cycle-budget
+    /// timeout, or engine failure).
     fn job_failed(&self, index: usize, job: &SimJob, bench_name: &str, outcome: &JobResult) {
         let _ = (index, job, bench_name, outcome);
     }
 
-    /// A transient failure on a job is being retried (once, with
-    /// backoff) before the final outcome is reported.
+    /// Never called: the engine retries nothing. Kept so observers
+    /// written against the retrying engine still compile.
     fn job_retried(&self, index: usize, job: &SimJob, bench_name: &str) {
         let _ = (index, job, bench_name);
     }
@@ -498,12 +439,10 @@ pub struct EngineStats {
     pub jobs_ok: u64,
     /// Jobs whose guest trapped ([`JobResult::Faulted`]).
     pub jobs_faulted: u64,
-    /// Jobs cancelled by a watchdog ([`JobResult::TimedOut`]).
+    /// Jobs stopped by their cycle budget ([`JobResult::TimedOut`]).
     pub jobs_timed_out: u64,
     /// Jobs that failed outside the guest ([`JobResult::Failed`]).
     pub jobs_failed: u64,
-    /// Transient-failure retries attempted.
-    pub jobs_retried: u64,
 }
 
 impl EngineStats {
@@ -518,8 +457,8 @@ impl EngineStats {
     }
 
     /// Renders the per-stage timing/cache summary (one line per stage,
-    /// plus an outcome line counting ok / faulted / timed-out / failed /
-    /// retried jobs).
+    /// plus an outcome line counting ok / faulted / timed-out / failed
+    /// jobs).
     pub fn summary(&self) -> String {
         fn ms(nanos: u64) -> f64 {
             nanos as f64 / 1e6
@@ -528,7 +467,7 @@ impl EngineStats {
             "profile : {:>4} runs, {:>4} cache hits, {:>9.1} ms\n\
              compile : {:>4} runs, {:>4} cache hits, {:>9.1} ms\n\
              simulate: {:>4} jobs, {:>21.1} ms, {:>7.2} MIPS/worker\n\
-             outcomes: {:>4} ok, {} faulted, {} timed out, {} failed, {} retried",
+             outcomes: {:>4} ok, {} faulted, {} timed out, {} failed",
             self.profile_misses,
             self.profile_hits,
             ms(self.profile_nanos),
@@ -542,7 +481,6 @@ impl EngineStats {
             self.jobs_faulted,
             self.jobs_timed_out,
             self.jobs_failed,
-            self.jobs_retried,
         )
     }
 }
@@ -559,7 +497,7 @@ pub struct SweepCell {
     pub predictor: PredictorKind,
 }
 
-type ProfileSlot = Arc<OnceLock<Result<Arc<Profile>, ExperimentError>>>;
+type ProfileSlot = Arc<OnceLock<Result<Arc<Profile>, VanguardError>>>;
 type CompileSlot = Arc<OnceLock<CompiledPair>>;
 
 /// Locks a mutex, recovering from poisoning: the engine's shared state
@@ -581,29 +519,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Lifts a legacy [`ExperimentError`] into a typed [`VanguardError`]
-/// (no benchmark attribution yet — callers add it).
-fn experiment_to_vanguard(e: ExperimentError) -> VanguardError {
-    match e {
-        ExperimentError::Profile(p) => VanguardError::new(Stage::Profile, ErrorKind::Profile(p)),
-        ExperimentError::Sim(s) => {
-            let pc = s.pc();
-            VanguardError::new(
-                Stage::Simulate,
-                ErrorKind::GuestTrap {
-                    trap: s,
-                    pc,
-                    cycle: 0,
-                },
-            )
-        }
-        ExperimentError::NoRefInputs => VanguardError::new(Stage::Simulate, ErrorKind::NoRefInputs),
-        ExperimentError::Engine(m) => {
-            VanguardError::new(Stage::Simulate, ErrorKind::WorkerPanic { detail: m })
-        }
-    }
-}
-
 /// The parallel, artifact-cached experiment engine. See the
 /// [module docs](self) for the execution model.
 pub struct Engine {
@@ -613,10 +528,10 @@ pub struct Engine {
     profiles: Mutex<HashMap<ProfileKey, ProfileSlot>>,
     pairs: Mutex<HashMap<CompileKey, CompileSlot>>,
     fault_policy: FaultPolicy,
-    /// Deterministic fault-injection plan: job index → remaining panics
-    /// to raise inside the containment boundary (test/harness hook, see
+    /// Deterministic fault-injection plan: job indices whose next run
+    /// panics inside the containment boundary (test/harness hook, see
     /// [`Engine::inject_worker_panic`]).
-    panic_plan: Mutex<HashMap<usize, u32>>,
+    panic_plan: Mutex<HashSet<usize>>,
     profile_misses: AtomicU64,
     profile_hits: AtomicU64,
     compile_misses: AtomicU64,
@@ -630,7 +545,6 @@ pub struct Engine {
     jobs_faulted: AtomicU64,
     jobs_timed_out: AtomicU64,
     jobs_failed: AtomicU64,
-    jobs_retried: AtomicU64,
 }
 
 impl std::fmt::Debug for Engine {
@@ -644,13 +558,37 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-/// Worker count: `VANGUARD_THREADS` when set to a positive integer,
-/// else the machine's available parallelism.
+/// Environment variable naming the worker count.
+pub const THREADS_ENV: &str = "VANGUARD_THREADS";
+
+/// Environment knob `name` as a positive integer: `Ok(None)` when unset.
+/// The one parser of every numeric `VANGUARD_*` knob.
+///
+/// # Errors
+///
+/// Names the variable and the rejected value when it is set but is not
+/// an integer >= 1 (`0` included).
+pub fn env_count(name: &str) -> Result<Option<usize>, String> {
+    let Some(value) = std::env::var_os(name) else {
+        return Ok(None);
+    };
+    let value = value.to_string_lossy();
+    match value.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(Some(n)),
+        _ => Err(format!("{name}: `{value}` is not an integer >= 1")),
+    }
+}
+
+/// Worker count: [`THREADS_ENV`] when set, else the machine's available
+/// parallelism.
+///
+/// # Panics
+///
+/// Panics with [`env_count`]'s message when `VANGUARD_THREADS` is
+/// malformed. The harness binaries check it first and exit 2 instead.
 pub fn default_workers() -> usize {
-    std::env::var("VANGUARD_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
+    env_count(THREADS_ENV)
+        .unwrap_or_else(|e| panic!("{e}"))
         .unwrap_or_else(|| {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -666,6 +604,11 @@ impl Default for Engine {
 
 impl Engine {
     /// An engine with [`default_workers`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `VANGUARD_THREADS` is set but malformed (see
+    /// [`default_workers`]).
     pub fn new() -> Self {
         Self::with_workers(default_workers())
     }
@@ -682,7 +625,7 @@ impl Engine {
             profiles: Mutex::new(HashMap::new()),
             pairs: Mutex::new(HashMap::new()),
             fault_policy: FaultPolicy::from_env(),
-            panic_plan: Mutex::new(HashMap::new()),
+            panic_plan: Mutex::new(HashSet::new()),
             profile_misses: AtomicU64::new(0),
             profile_hits: AtomicU64::new(0),
             compile_misses: AtomicU64::new(0),
@@ -696,7 +639,6 @@ impl Engine {
             jobs_faulted: AtomicU64::new(0),
             jobs_timed_out: AtomicU64::new(0),
             jobs_failed: AtomicU64::new(0),
-            jobs_retried: AtomicU64::new(0),
         }
     }
 
@@ -715,23 +657,19 @@ impl Engine {
         &self.fault_policy
     }
 
-    /// Schedules `times` deterministic worker panics on the job at
-    /// `index` (raised inside the containment boundary, before the job
-    /// body runs). The fault-injection harness uses this to prove panic
-    /// containment and retry behaviour; with the default policy the
-    /// first panic is retried and the retry succeeds.
-    pub fn inject_worker_panic(&self, index: usize, times: u32) {
-        lock_ignore_poison(&self.panic_plan).insert(index, times);
+    /// Makes the next run of the job at `index` panic inside the
+    /// containment boundary, before the job body runs. The
+    /// fault-injection harness uses this to prove panic containment: the
+    /// job ends as [`JobResult::Failed`] and every other job is
+    /// unaffected.
+    pub fn inject_worker_panic(&self, index: usize) {
+        lock_ignore_poison(&self.panic_plan).insert(index);
     }
 
     fn maybe_inject_panic(&self, index: usize) {
-        let mut plan = lock_ignore_poison(&self.panic_plan);
-        if let Some(n) = plan.get_mut(&index) {
-            if *n > 0 {
-                *n -= 1;
-                drop(plan);
-                panic!("injected worker fault (job {index})");
-            }
+        let armed = lock_ignore_poison(&self.panic_plan).remove(&index);
+        if armed {
+            panic!("injected worker fault (job {index})");
         }
     }
 
@@ -773,7 +711,6 @@ impl Engine {
             jobs_faulted: self.jobs_faulted.load(Ordering::Relaxed),
             jobs_timed_out: self.jobs_timed_out.load(Ordering::Relaxed),
             jobs_failed: self.jobs_failed.load(Ordering::Relaxed),
-            jobs_retried: self.jobs_retried.load(Ordering::Relaxed),
         }
     }
 
@@ -815,14 +752,14 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the profiling error (cached: re-requests see the same
-    /// error without re-running).
+    /// Returns the profiling error, attributed to the benchmark (cached:
+    /// re-requests see the same error without re-running).
     pub fn profile(
         &self,
         bench: usize,
         predictor: PredictorKind,
         max_steps: u64,
-    ) -> Result<Arc<Profile>, ExperimentError> {
+    ) -> Result<Arc<Profile>, VanguardError> {
         let key = ProfileKey {
             bench,
             predictor,
@@ -845,7 +782,11 @@ impl Engine {
                 max_steps,
             )
             .map(Arc::new)
-            .map_err(ExperimentError::from);
+            .map_err(|e| {
+                VanguardError::new(Stage::Profile, ErrorKind::Profile(e))
+                    .with_benchmark(&input.name)
+                    .with_seed(input.seed)
+            });
             let elapsed = started.elapsed();
             self.profile_nanos
                 .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
@@ -884,7 +825,7 @@ impl Engine {
         machine: MachineConfig,
         options: &TransformOptions,
         max_steps: u64,
-    ) -> Result<CompiledPair, ExperimentError> {
+    ) -> Result<CompiledPair, VanguardError> {
         let profile = self.profile(bench, predictor, max_steps)?;
         let key = CompileKey {
             profile: ProfileKey {
@@ -945,9 +886,13 @@ impl Engine {
 
     /// Stage 3 — simulate-one-ref: runs one job through the cached
     /// stages and one simulation. Deterministic for a given job. Never
-    /// returns an error or panics on a guest fault: traps, watchdog
-    /// cancellations, and stage failures become the corresponding
-    /// [`JobResult`] variant.
+    /// returns an error or panics on a guest fault: traps, cycle-budget
+    /// stops, and stage failures become the corresponding [`JobResult`]
+    /// variant.
+    ///
+    /// The simulator runs on a copy of `job.machine` whose `max_cycles`
+    /// is the smaller of the machine's and the policy's budget; the job
+    /// itself (which [`Engine::job_key`] hashes) is unchanged.
     pub fn run_job(&self, job: &SimJob, options: &TransformOptions, max_steps: u64) -> JobResult {
         let input = &self.benchmarks[job.bench];
         let pair =
@@ -956,12 +901,7 @@ impl Engine {
                 Err(e) => {
                     return JobResult::Failed {
                         job: *job,
-                        error: Box::new(
-                            experiment_to_vanguard(e)
-                                .with_benchmark(&input.name)
-                                .with_seed(input.seed),
-                        ),
-                        retried: false,
+                        error: Box::new(e),
                     }
                 }
             };
@@ -970,19 +910,18 @@ impl Engine {
             Variant::Transformed => &pair.transformed_image,
         };
         let ref_input = &input.refs[job.ref_input];
+        let mut machine = job.machine;
+        if let Some(budget) = self.fault_policy.max_cycles {
+            machine.max_cycles = machine.max_cycles.min(budget);
+        }
         let mut sim = Simulator::with_image(
             Arc::clone(image),
             ref_input.memory.clone(),
-            job.machine,
+            machine,
             job.predictor.build(),
         );
         for &(r, v) in &ref_input.init_regs {
             sim.set_reg(r, v);
-        }
-        let policy = &self.fault_policy;
-        let deadline = policy.job_timeout.map(|t| Instant::now() + t);
-        if policy.max_cycles.is_some() || deadline.is_some() {
-            sim.set_watchdog(policy.max_cycles, deadline);
         }
         let started = Instant::now();
         let outcome = sim.run_checked();
@@ -991,37 +930,31 @@ impl Engine {
         self.sim_nanos
             .fetch_add(sim_elapsed.as_nanos() as u64, Ordering::Relaxed);
         match outcome {
-            Ok(res) if res.stop == StopCause::TimedOut => JobResult::TimedOut {
-                job: *job,
-                cycles: res.stats.cycles,
-                wall_ms: sim_elapsed.as_millis() as u64,
-                retried: false,
-            },
-            Ok(res) => {
+            Ok(res) if res.stop == StopCause::Halted => {
                 self.sim_insts
                     .fetch_add(res.stats.committed(), Ordering::Relaxed);
                 JobResult::Completed(Box::new(JobSuccess {
                     job: *job,
                     stats: res.stats,
                     sim_elapsed,
-                    retried: false,
                 }))
             }
+            Ok(res) => JobResult::TimedOut {
+                job: *job,
+                cycles: res.stats.cycles,
+            },
             Err(fault) => JobResult::Faulted {
                 job: *job,
                 pc: fault.error.pc(),
                 cycle: fault.cycle,
                 trap: fault.error,
-                retried: false,
             },
         }
     }
 
-    /// [`Engine::run_job`] inside the full containment boundary: worker
-    /// panics (including injected ones) are caught and become
-    /// [`JobResult::Failed`]; transient failures are retried once with
-    /// backoff when the policy allows. Outcome counters are updated
-    /// exactly once, for the final outcome.
+    /// [`Engine::run_job`] inside the containment boundary: a worker
+    /// panic (including an injected one) is caught and becomes
+    /// [`JobResult::Failed`]. Outcome counters are updated once per job.
     fn run_job_guarded(
         &self,
         index: usize,
@@ -1029,47 +962,26 @@ impl Engine {
         options: &TransformOptions,
         max_steps: u64,
     ) -> JobResult {
-        let mut retried = false;
-        let mut outcome = loop {
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.maybe_inject_panic(index);
-                self.run_job(job, options, max_steps)
-            }));
-            let outcome = match attempt {
-                Ok(outcome) => outcome,
-                Err(payload) => {
-                    let input = &self.benchmarks[job.bench];
-                    JobResult::Failed {
-                        job: *job,
-                        error: Box::new(
-                            VanguardError::new(
-                                Stage::Simulate,
-                                ErrorKind::WorkerPanic {
-                                    detail: panic_message(payload.as_ref()),
-                                },
-                            )
-                            .with_benchmark(&input.name)
-                            .with_seed(input.seed),
-                        ),
-                        retried: false,
-                    }
-                }
-            };
-            let transient =
-                matches!(&outcome, JobResult::Failed { error, .. } if error.is_transient());
-            if transient && !retried && self.fault_policy.retry_transient {
-                retried = true;
-                self.jobs_retried.fetch_add(1, Ordering::Relaxed);
-                let name = &self.benchmarks[job.bench].name;
-                for o in &self.observers {
-                    o.job_retried(index, job, name);
-                }
-                std::thread::sleep(self.fault_policy.backoff);
-                continue;
+        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.maybe_inject_panic(index);
+            self.run_job(job, options, max_steps)
+        }));
+        let outcome = attempt.unwrap_or_else(|payload| {
+            let input = &self.benchmarks[job.bench];
+            JobResult::Failed {
+                job: *job,
+                error: Box::new(
+                    VanguardError::new(
+                        Stage::Simulate,
+                        ErrorKind::WorkerPanic {
+                            detail: panic_message(payload.as_ref()),
+                        },
+                    )
+                    .with_benchmark(&input.name)
+                    .with_seed(input.seed),
+                ),
             }
-            break outcome;
-        };
-        outcome.set_retried(retried);
+        });
         let counter = match &outcome {
             JobResult::Completed(_) => &self.jobs_ok,
             JobResult::Faulted { .. } => &self.jobs_faulted,
@@ -1201,25 +1113,18 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns the first (by job index) error, or
-    /// [`ExperimentError::NoRefInputs`] if a cell's benchmark has no
-    /// REF inputs. Fault-tolerant callers who want the *surviving*
-    /// cells instead of the first error use
-    /// [`Engine::run_cells_tolerant`].
+    /// Returns the first (by cell order) error, [`ErrorKind::NoRefInputs`]
+    /// for a cell whose benchmark has no REF inputs. Fault-tolerant
+    /// callers who want the *surviving* cells instead of the first error
+    /// use [`Engine::run_cells_tolerant`].
     pub fn run_cells(
         &self,
         cells: &[SweepCell],
         options: &TransformOptions,
         max_steps: u64,
-    ) -> Result<Vec<ExperimentOutcome>, ExperimentError> {
-        for cell in cells {
-            if self.benchmarks[cell.bench].refs.is_empty() {
-                return Err(ExperimentError::NoRefInputs);
-            }
-        }
+    ) -> Result<Vec<ExperimentOutcome>, VanguardError> {
         self.run_cells_tolerant(cells, options, max_steps)
             .into_iter()
-            .map(|r| r.map_err(ExperimentError::from))
             .collect()
     }
 
@@ -1276,11 +1181,6 @@ impl Engine {
                         runs,
                         profile_dynamic_insts: profile.dynamic_insts,
                     })
-                })
-                .map_err(|e| {
-                    experiment_to_vanguard(e)
-                        .with_benchmark(&input.name)
-                        .with_seed(input.seed)
                 });
             outcomes.push(outcome);
         }
@@ -1403,48 +1303,56 @@ mod tests {
     }
 
     #[test]
-    fn injected_panic_is_retried_and_recovers() {
+    fn injected_panic_fails_only_its_job() {
         let opts = TransformOptions::default();
-        let (engine, ids) = engine_with(1, 2);
-        let jobs = engine.jobs_for_cells(&[SweepCell {
-            bench: ids[0],
-            machine: MachineConfig::four_wide(),
-            predictor: PredictorKind::Combined24KB,
-        }]);
-        engine.inject_worker_panic(0, 1);
+        let (engine, ids) = engine_with(2, 2);
+        let cells: Vec<SweepCell> = ids
+            .iter()
+            .map(|&bench| SweepCell {
+                bench,
+                machine: MachineConfig::four_wide(),
+                predictor: PredictorKind::Combined24KB,
+            })
+            .collect();
+        let jobs = engine.jobs_for_cells(&cells);
+        engine.inject_worker_panic(1);
         let results = engine.run_jobs(&jobs, &opts, 1_000_000);
-        assert!(results.iter().all(JobResult::is_completed));
-        assert!(results[0].retried());
-        assert!(!results[1].retried());
-        let stats = engine.stats();
-        assert_eq!(stats.jobs_retried, 1, "{stats:?}");
-        assert_eq!(stats.jobs_ok as usize, jobs.len(), "{stats:?}");
-        assert_eq!(stats.jobs_failed, 0, "{stats:?}");
-    }
-
-    #[test]
-    fn repeated_panic_becomes_a_failed_outcome() {
-        let opts = TransformOptions::default();
-        let (engine, ids) = engine_with(1, 1);
-        let jobs = engine.jobs_for_cells(&[SweepCell {
-            bench: ids[0],
-            machine: MachineConfig::four_wide(),
-            predictor: PredictorKind::Combined24KB,
-        }]);
-        engine.inject_worker_panic(1, 2); // survives the one retry
-        let results = engine.run_jobs(&jobs, &opts, 1_000_000);
-        assert!(results[0].is_completed());
         match &results[1] {
-            JobResult::Failed { error, retried, .. } => {
-                assert!(*retried);
+            JobResult::Failed { error, .. } => {
                 assert!(matches!(error.kind, ErrorKind::WorkerPanic { .. }));
                 assert_eq!(error.benchmark.as_deref(), Some("bench0"));
             }
             other => panic!("expected Failed, got {other:?}"),
         }
+        for (i, r) in results.iter().enumerate() {
+            assert_eq!(r.is_completed(), i != 1, "job {i}: {r:?}");
+        }
         let stats = engine.stats();
         assert_eq!(stats.jobs_failed, 1, "{stats:?}");
-        assert_eq!(stats.jobs_retried, 1, "{stats:?}");
+        assert_eq!(stats.jobs_ok as usize, jobs.len() - 1, "{stats:?}");
+    }
+
+    #[test]
+    fn policy_budget_stops_a_job_at_exactly_the_budget() {
+        let opts = TransformOptions::default();
+        let (mut engine, ids) = engine_with(1, 1);
+        engine.set_fault_policy(FaultPolicy {
+            max_cycles: Some(3500),
+            quarantine_dir: None,
+        });
+        let jobs = engine.jobs_for_cells(&[SweepCell {
+            bench: ids[0],
+            machine: MachineConfig::four_wide(),
+            predictor: PredictorKind::Combined24KB,
+        }]);
+        for r in engine.run_jobs(&jobs, &opts, 1_000_000) {
+            assert!(
+                matches!(r, JobResult::TimedOut { cycles: 3500, .. }),
+                "{r:?}"
+            );
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.jobs_timed_out as usize, jobs.len(), "{stats:?}");
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! Every failure the engine can survive is a [`VanguardError`]: the
 //! failing pipeline [`Stage`], the benchmark and (when the workload is
 //! seed-generated) the seed it belongs to, and a typed [`ErrorKind`]
-//! saying *what* went wrong. Workers convert guest traps, watchdog
-//! timeouts and worker panics into these values instead of aborting
-//! the process; DESIGN.md §7.8 maps each kind to its
+//! saying *what* went wrong. It is the one error type of the engine and
+//! the [`Experiment`](crate::Experiment) facade. Workers convert guest
+//! traps, cycle-budget stops and worker panics into these values instead
+//! of aborting the process; DESIGN.md §7.8 maps each kind to its
 //! detection point and recovery action.
 
 use crate::engine::Stage;
-use crate::experiment::ExperimentError;
 use std::fmt;
 use vanguard_compiler::ProfileError;
 use vanguard_sim::SimError;
@@ -28,12 +28,10 @@ pub enum ErrorKind {
         /// Cycle the fault was detected at.
         cycle: u64,
     },
-    /// A watchdog cancelled a wedged stage.
+    /// The simulation reached its cycle budget before halting.
     Timeout {
-        /// Cycles simulated before cancellation.
+        /// Cycles simulated before the stop.
         cycles: u64,
-        /// Wall-clock milliseconds elapsed before cancellation.
-        wall_ms: u64,
     },
     /// A worker thread panicked while running a job.
     WorkerPanic {
@@ -51,8 +49,8 @@ impl fmt::Display for ErrorKind {
             ErrorKind::GuestTrap { trap, pc, cycle } => {
                 write!(f, "guest trap at pc {pc:#x}, cycle {cycle}: {trap}")
             }
-            ErrorKind::Timeout { cycles, wall_ms } => {
-                write!(f, "watchdog timeout after {cycles} cycles / {wall_ms} ms")
+            ErrorKind::Timeout { cycles } => {
+                write!(f, "timed out after {cycles} cycles (cycle budget)")
             }
             ErrorKind::WorkerPanic { detail } => write!(f, "worker panicked: {detail}"),
             ErrorKind::NoRefInputs => write!(f, "no REF inputs provided"),
@@ -98,14 +96,6 @@ impl VanguardError {
         self.seed = seed;
         self
     }
-
-    /// Whether a retry can plausibly succeed: a worker panic is
-    /// environmental (poisoned state) and retried once with backoff;
-    /// guest traps and timeouts are deterministic properties of the job
-    /// and never retried.
-    pub fn is_transient(&self) -> bool {
-        matches!(self.kind, ErrorKind::WorkerPanic { .. })
-    }
 }
 
 impl fmt::Display for VanguardError {
@@ -123,97 +113,19 @@ impl fmt::Display for VanguardError {
 
 impl std::error::Error for VanguardError {}
 
-impl From<VanguardError> for ExperimentError {
-    /// Narrows to the legacy error the `Experiment` facade reports:
-    /// typed causes map to their original variants, engine-level
-    /// failures (timeout, panic) to
-    /// [`ExperimentError::Engine`].
-    fn from(e: VanguardError) -> Self {
-        match e.kind {
-            ErrorKind::Profile(p) => ExperimentError::Profile(p),
-            ErrorKind::GuestTrap { trap, .. } => ExperimentError::Sim(trap),
-            ErrorKind::NoRefInputs => ExperimentError::NoRefInputs,
-            ErrorKind::Timeout { .. } | ErrorKind::WorkerPanic { .. } => {
-                ExperimentError::Engine(e.to_string())
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn transience_classification() {
-        let panic = VanguardError::new(
-            Stage::Simulate,
-            ErrorKind::WorkerPanic {
-                detail: "boom".into(),
-            },
-        );
-        assert!(panic.is_transient());
-        let trap = VanguardError::new(
-            Stage::Simulate,
-            ErrorKind::GuestTrap {
-                trap: SimError::LoadFault { addr: 0x10, pc: 4 },
-                pc: 4,
-                cycle: 99,
-            },
-        );
-        assert!(!trap.is_transient());
-        let timeout = VanguardError::new(
-            Stage::Simulate,
-            ErrorKind::Timeout {
-                cycles: 1,
-                wall_ms: 2,
-            },
-        );
-        assert!(!timeout.is_transient());
-    }
-
-    #[test]
     fn display_carries_full_context() {
-        let e = VanguardError::new(
-            Stage::Simulate,
-            ErrorKind::Timeout {
-                cycles: 5000,
-                wall_ms: 12,
-            },
-        )
-        .with_benchmark("mcf")
-        .with_seed(Some(7));
+        let e = VanguardError::new(Stage::Simulate, ErrorKind::Timeout { cycles: 5000 })
+            .with_benchmark("mcf")
+            .with_seed(Some(7));
         let s = e.to_string();
         assert!(s.contains("simulate"), "{s}");
         assert!(s.contains("mcf"), "{s}");
         assert!(s.contains("seed 7"), "{s}");
         assert!(s.contains("5000 cycles"), "{s}");
-    }
-
-    #[test]
-    fn narrowing_preserves_typed_causes() {
-        let trap = VanguardError::new(
-            Stage::Simulate,
-            ErrorKind::GuestTrap {
-                trap: SimError::OrphanResolve { pc: 8 },
-                pc: 8,
-                cycle: 3,
-            },
-        );
-        assert!(matches!(
-            ExperimentError::from(trap),
-            ExperimentError::Sim(SimError::OrphanResolve { pc: 8 })
-        ));
-        let wedged = VanguardError::new(
-            Stage::Simulate,
-            ErrorKind::Timeout {
-                cycles: 1,
-                wall_ms: 1,
-            },
-        );
-        assert!(matches!(
-            ExperimentError::from(wedged),
-            ExperimentError::Engine(_)
-        ));
     }
 }

@@ -1,15 +1,15 @@
 //! End-to-end experiment facade: profile → compile → simulate → report.
 
+use crate::engine::Stage;
+use crate::error::{ErrorKind, VanguardError};
 use crate::report::TransformReport;
 use crate::transform::TransformOptions;
-use std::fmt;
-use std::sync::Arc;
 use vanguard_compiler::{
-    compact_program, layout_program, profile_program, schedule_program, ProfileError, SchedConfig,
+    compact_program, layout_program, profile_program, schedule_program, SchedConfig,
 };
 use vanguard_ir::Profile;
-use vanguard_isa::{DecodedImage, Memory, Program, Reg};
-use vanguard_sim::{MachineConfig, SimError, SimStats, Simulator};
+use vanguard_isa::{Memory, Program, Reg};
+use vanguard_sim::{MachineConfig, SimStats, Simulator, StopCause};
 
 pub use vanguard_bpred::LadderRung as PredictorKind;
 
@@ -39,46 +39,6 @@ pub struct ExperimentInput {
     /// workloads); lets engine failure reports and quarantine
     /// reproducers name an exact replay command.
     pub seed: Option<u64>,
-}
-
-/// Errors from an experiment run.
-#[derive(Clone, Debug)]
-pub enum ExperimentError {
-    /// Profiling failed.
-    Profile(ProfileError),
-    /// A simulation failed.
-    Sim(SimError),
-    /// The input had no REF inputs.
-    NoRefInputs,
-    /// An engine-level failure (watchdog timeout, worker panic) that
-    /// has no architectural cause; the message is the full
-    /// [`crate::VanguardError`] rendering.
-    Engine(String),
-}
-
-impl fmt::Display for ExperimentError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExperimentError::Profile(e) => write!(f, "profiling: {e}"),
-            ExperimentError::Sim(e) => write!(f, "simulation: {e}"),
-            ExperimentError::NoRefInputs => write!(f, "no REF inputs provided"),
-            ExperimentError::Engine(msg) => write!(f, "engine: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for ExperimentError {}
-
-impl From<ProfileError> for ExperimentError {
-    fn from(e: ProfileError) -> Self {
-        ExperimentError::Profile(e)
-    }
-}
-
-impl From<SimError> for ExperimentError {
-    fn from(e: SimError) -> Self {
-        ExperimentError::Sim(e)
-    }
 }
 
 /// Baseline-vs-experimental statistics for one REF input.
@@ -215,9 +175,9 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExperimentError`] if profiling or simulation faults,
-    /// or no REF inputs were supplied.
-    pub fn run(&self, input: &ExperimentInput) -> Result<ExperimentOutcome, ExperimentError> {
+    /// Returns a [`VanguardError`] if profiling or simulation fails, or
+    /// no REF inputs were supplied.
+    pub fn run(&self, input: &ExperimentInput) -> Result<ExperimentOutcome, VanguardError> {
         let mut outcomes = self.run_suite(std::slice::from_ref(input))?;
         Ok(outcomes.remove(0))
     }
@@ -230,12 +190,12 @@ impl Experiment {
     /// # Errors
     ///
     /// Returns the first (by benchmark and REF-input order) profiling or
-    /// simulation error, or [`ExperimentError::NoRefInputs`] if any
-    /// benchmark has none.
+    /// simulation error, or [`ErrorKind::NoRefInputs`] if any benchmark
+    /// has none.
     pub fn run_suite(
         &self,
         inputs: &[ExperimentInput],
-    ) -> Result<Vec<ExperimentOutcome>, ExperimentError> {
+    ) -> Result<Vec<ExperimentOutcome>, VanguardError> {
         let mut engine = crate::engine::Engine::new();
         let cells: Vec<crate::engine::SweepCell> = inputs
             .iter()
@@ -252,15 +212,21 @@ impl Experiment {
     ///
     /// # Errors
     ///
-    /// Returns an [`ExperimentError`] if the profiled program faults.
-    pub fn profile(&self, input: &ExperimentInput) -> Result<Profile, ExperimentError> {
-        Ok(profile_program(
+    /// Returns [`ErrorKind::Profile`], attributed to the benchmark, if
+    /// the profiled program faults.
+    pub fn profile(&self, input: &ExperimentInput) -> Result<Profile, VanguardError> {
+        profile_program(
             &input.program,
             input.train.memory.clone(),
             &input.train.init_regs,
             self.predictor.build(),
             self.max_profile_steps,
-        )?)
+        )
+        .map_err(|e| {
+            VanguardError::new(Stage::Profile, ErrorKind::Profile(e))
+                .with_benchmark(&input.name)
+                .with_seed(input.seed)
+        })
     }
 
     /// Compiles the baseline and transformed versions of a program for
@@ -287,16 +253,15 @@ impl Experiment {
         (baseline, transformed, report)
     }
 
-    /// Simulates one program over one input on this experiment's machine.
+    /// Simulates one program over one input on this experiment's machine,
+    /// stopping the way an engine job does.
     ///
     /// # Errors
     ///
-    /// Returns an [`ExperimentError`] on a committed-path fault.
-    pub fn simulate(
-        &self,
-        program: &Program,
-        input: &RunInput,
-    ) -> Result<SimStats, ExperimentError> {
+    /// Returns [`ErrorKind::GuestTrap`] on a committed-path fault and
+    /// [`ErrorKind::Timeout`] when the machine's cycle limit stops the
+    /// run before it halts.
+    pub fn simulate(&self, program: &Program, input: &RunInput) -> Result<SimStats, VanguardError> {
         let mut sim = Simulator::new(
             program,
             input.memory.clone(),
@@ -306,31 +271,18 @@ impl Experiment {
         for &(r, v) in &input.init_regs {
             sim.set_reg(r, v);
         }
-        Ok(sim.run()?.stats)
-    }
-
-    /// Simulates a pre-decoded program image over one input on this
-    /// experiment's machine. The hot path of the engine: many simulations
-    /// of the same compiled program share one image.
-    ///
-    /// # Errors
-    ///
-    /// Returns an [`ExperimentError`] on a committed-path fault.
-    pub fn simulate_image(
-        &self,
-        image: &Arc<DecodedImage>,
-        input: &RunInput,
-    ) -> Result<SimStats, ExperimentError> {
-        let mut sim = Simulator::with_image(
-            Arc::clone(image),
-            input.memory.clone(),
-            self.machine,
-            self.predictor.build(),
-        );
-        for &(r, v) in &input.init_regs {
-            sim.set_reg(r, v);
-        }
-        Ok(sim.run()?.stats)
+        let kind = match sim.run_checked() {
+            Ok(res) if res.stop == StopCause::Halted => return Ok(res.stats),
+            Ok(res) => ErrorKind::Timeout {
+                cycles: res.stats.cycles,
+            },
+            Err(fault) => ErrorKind::GuestTrap {
+                pc: fault.error.pc(),
+                cycle: fault.cycle,
+                trap: fault.error,
+            },
+        };
+        Err(VanguardError::new(Stage::Simulate, kind))
     }
 }
 
@@ -510,7 +462,13 @@ pub(crate) mod tests {
         let mut input = experiment_input(100);
         input.refs.clear();
         let exp = Experiment::new(MachineConfig::four_wide());
-        assert!(matches!(exp.run(&input), Err(ExperimentError::NoRefInputs)));
+        assert!(matches!(
+            exp.run(&input),
+            Err(VanguardError {
+                kind: ErrorKind::NoRefInputs,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -50,8 +50,7 @@ mod verify;
 pub use diskcache::{fnv1a, ClaimGuard, CorruptEntry, DiskCache};
 pub use error::{ErrorKind, VanguardError};
 pub use experiment::{
-    Experiment, ExperimentError, ExperimentInput, ExperimentOutcome, PredictorKind, RefRun,
-    RunInput,
+    Experiment, ExperimentInput, ExperimentOutcome, PredictorKind, RefRun, RunInput,
 };
 pub use journal::{Journal, JournalRecord, JournalSnapshot};
 pub use lint::{lint_program, lint_variant, LintDiagnostic, LintKind};

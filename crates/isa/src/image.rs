@@ -12,7 +12,7 @@
 //!   empty-block fall-through chains already resolved;
 //! * per-block tables for control transfers: the flat entry index
 //!   reached when control enters a block, the block's layout start
-//!   address (for BTB/RAS targets), and its immediate fall-through.
+//!   address (for BTB steer targets), and its immediate fall-through.
 //!
 //! An image is immutable after [`DecodedImage::build`], so the
 //! experiment engine caches one `Arc<DecodedImage>` per compiled program
@@ -53,7 +53,7 @@ pub struct DecodedImage {
     /// control enters the block (empty blocks chase their fall-through
     /// chain at build time); [`NO_INST`] when the chain dead-ends.
     block_entry: Vec<u32>,
-    /// Per block: layout start address (BTB/RAS steer targets).
+    /// Per block: layout start address (BTB steer targets).
     block_start: Vec<u64>,
     /// Per block: immediate fall-through successor, if any.
     block_fall: Vec<Option<BlockId>>,

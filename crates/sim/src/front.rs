@@ -5,7 +5,7 @@ use crate::config::MachineConfig;
 use crate::stats::SimStats;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use vanguard_bpred::{Btb, DecomposedBranchBuffer, DirectionPredictor, PredMeta, Ras};
+use vanguard_bpred::{Btb, DecomposedBranchBuffer, DirectionPredictor, PredMeta};
 use vanguard_isa::{BlockId, DecodedImage, FuClass, Inst, NO_INST};
 use vanguard_mem::{AccessKind, Level, MemSystem};
 
@@ -48,9 +48,6 @@ enum JournalOp {
 pub struct FetchSnapshot {
     /// DBB tail pointer.
     pub dbb_tail: usize,
-    /// Hardware RAS depth (the entry contents are re-derived from the
-    /// perfect call stack, modelling a checkpointed top-of-stack pointer).
-    pub ras_depth: usize,
     /// Call-stack journal length at capture time.
     pub journal_mark: usize,
 }
@@ -132,9 +129,9 @@ pub struct FetchedInst {
     pub snapshot: Option<FetchSnapshot>,
 }
 
-/// The front end: fetch PC, fetch buffer, predictor, BTB, RAS, DBB, and
-/// the perfect call stack used to model a translated machine's precise
-/// return handling.
+/// The front end: fetch PC, fetch buffer, predictor, BTB, DBB, and the
+/// perfect call stack that steers every return (standing in for the
+/// Table 1 RAS, which never mispredicts a return in this model).
 ///
 /// Fetch walks a shared pre-decoded [`DecodedImage`] — the fetch PC is a
 /// flat instruction index and fall-through chains cost nothing at run
@@ -157,7 +154,6 @@ pub struct FrontEnd {
     pub(crate) predictor: Box<dyn DirectionPredictor>,
     pub(crate) dbb: DecomposedBranchBuffer,
     btb: Btb,
-    ras: Ras,
     call_stack: Vec<BlockId>,
     /// Undo log of speculative call-stack mutations since the last
     /// compaction; snapshots reference a position in it.
@@ -212,7 +208,6 @@ impl FrontEnd {
             predictor,
             dbb: DecomposedBranchBuffer::new(config.dbb_entries),
             btb: Btb::table1_default(),
-            ras: Ras::table1_default(),
             call_stack: Vec::new(),
             journal: Vec::new(),
             snapshots_in_buffer: 0,
@@ -254,7 +249,6 @@ impl FrontEnd {
     fn snapshot(&self) -> FetchSnapshot {
         FetchSnapshot {
             dbb_tail: self.dbb.tail(),
-            ras_depth: self.ras.depth(),
             journal_mark: self.journal.len(),
         }
     }
@@ -355,14 +349,12 @@ impl FrontEnd {
                 Inst::Call { callee, ret_to } => {
                     self.call_stack.push(ret_to);
                     self.journal.push(JournalOp::Pushed);
-                    self.ras.push(self.image.block_start(ret_to));
                     if self.steer(cycle, pc, callee) {
                         return;
                     }
                     break;
                 }
                 Inst::Ret => {
-                    self.ras.pop();
                     match self.call_stack.pop() {
                         Some(ret) => {
                             self.journal.push(JournalOp::Popped(ret));
@@ -450,13 +442,6 @@ impl FrontEnd {
                 }
                 JournalOp::Popped(b) => self.call_stack.push(b),
             }
-        }
-        // Rebuild the hardware RAS to the snapshot depth (entry contents
-        // are re-derived from the perfect stack, modelling a checkpointed
-        // top-of-stack pointer).
-        self.ras.clear();
-        for &b in &self.call_stack {
-            self.ras.push(self.image.block_start(b));
         }
         self.stall_until = resume_cycle;
         self.halted = false;
@@ -580,7 +565,6 @@ mod tests {
         assert!(!fe.buffer.is_empty());
         let snap = FetchSnapshot {
             dbb_tail: 0,
-            ras_depth: 0,
             journal_mark: 0,
         };
         fe.flush(p.entry(), &snap, 300);
@@ -663,7 +647,6 @@ mod tests {
         fe.flush(f, &snap, 0);
         // The ret's pop was rewound: the frame pushed by the call is live.
         assert_eq!(fe.call_stack, vec![r]);
-        assert_eq!(fe.ras.depth(), 1);
         assert_eq!(fe.journal.len(), snap.journal_mark);
     }
 

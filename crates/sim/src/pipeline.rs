@@ -18,11 +18,9 @@ use vanguard_mem::{AccessKind, MemSystem};
 pub enum StopCause {
     /// A `halt` instruction committed.
     Halted,
-    /// The configured cycle limit was reached.
+    /// The configured cycle limit (`MachineConfig::max_cycles`) was
+    /// reached.
     CycleLimit,
-    /// A watchdog (cycle budget or wall-clock deadline, see
-    /// [`Simulator::set_watchdog`]) cancelled the run cooperatively.
-    TimedOut,
 }
 
 /// Simulation errors (architectural faults on the committed path).
@@ -158,8 +156,8 @@ pub struct HotloopProfile {
     pub issue_ns: u64,
     /// Nanoseconds committing stores (store-buffer drain).
     pub commit_ns: u64,
-    /// Nanoseconds of batch-entry work: stop checks, watchdog polls,
-    /// redirect application, journal compaction.
+    /// Nanoseconds of batch-entry work: stop checks, redirect
+    /// application, journal compaction.
     pub other_ns: u64,
     /// Cycles simulated.
     pub cycles: u64,
@@ -216,13 +214,6 @@ pub struct Simulator<'t> {
     pending: Option<PendingRedirect>,
     halted: bool,
     trace: Option<TraceSink<'t>>,
-    /// Watchdog cycle budget (`u64::MAX` = disabled): exceeding it stops
-    /// the run with [`StopCause::TimedOut`], unlike the architectural
-    /// `config.max_cycles` limit which reports [`StopCause::CycleLimit`].
-    watchdog_cycles: u64,
-    /// Watchdog wall-clock deadline, checked every 4096 cycles so the
-    /// clean-run hot loop never pays a syscall per cycle.
-    watchdog_deadline: Option<Instant>,
 }
 
 impl<'t> fmt::Debug for Simulator<'t> {
@@ -277,24 +268,12 @@ impl<'t> Simulator<'t> {
             pending: None,
             halted: false,
             trace: None,
-            watchdog_cycles: u64::MAX,
-            watchdog_deadline: None,
         }
     }
 
     /// Sets an initial register value (before [`run`](Self::run)).
     pub fn set_reg(&mut self, r: vanguard_isa::Reg, v: u64) {
         self.regs[r.index()] = v;
-    }
-
-    /// Arms the cooperative watchdog: a cycle budget, a wall-clock
-    /// deadline, or both. Tripping either stops the run cleanly with
-    /// [`StopCause::TimedOut`] (partial statistics intact) instead of
-    /// spinning forever on a wedged guest. `None` leaves that dimension
-    /// unlimited.
-    pub fn set_watchdog(&mut self, max_cycles: Option<u64>, deadline: Option<Instant>) {
-        self.watchdog_cycles = max_cycles.unwrap_or(u64::MAX);
-        self.watchdog_deadline = deadline;
     }
 
     /// Runs to completion, delivering [`TraceEvent`]s to `sink`.
@@ -343,14 +322,14 @@ impl<'t> Simulator<'t> {
     }
 
     /// The per-cycle loop, restructured as batches: all cold per-cycle
-    /// branch-outs (stop conditions, watchdog poll, redirect apply,
-    /// journal compaction) run once at batch entry, then a fused
-    /// fetch/issue/commit fast path runs until the next cold event. The
-    /// batch limit is the earliest of the cycle/watchdog budgets, the
-    /// next 4096-cycle watchdog poll boundary, and a pending redirect's
-    /// due cycle; a halt or a newly-scheduled redirect ends the batch
-    /// early. Every cold check therefore fires
-    /// at exactly the cycles the per-cycle loop fired it at, so the
+    /// branch-outs (stop conditions, redirect apply, journal compaction)
+    /// run once at batch entry, then a fused fetch/issue/commit fast path
+    /// runs until the next cold event. The batch limit is the earliest of
+    /// the cycle limit, the next 4096-cycle boundary (the journal
+    /// compaction cadence, which bounds the call-stack undo journal), and
+    /// a pending redirect's due cycle; a halt or a newly-scheduled
+    /// redirect ends the batch early. Every cold check therefore fires at
+    /// exactly the cycles the per-cycle loop fired it at, so the
     /// restructuring is cycle-for-cycle invisible.
     fn run_loop<const PROFILE: bool>(
         &mut self,
@@ -363,16 +342,6 @@ impl<'t> Simulator<'t> {
             }
             if self.cycle >= self.config.max_cycles {
                 return Ok(StopCause::CycleLimit);
-            }
-            if self.cycle >= self.watchdog_cycles {
-                return Ok(StopCause::TimedOut);
-            }
-            if self.cycle & 0xFFF == 0 {
-                if let Some(deadline) = self.watchdog_deadline {
-                    if Instant::now() >= deadline {
-                        return Ok(StopCause::TimedOut);
-                    }
-                }
             }
             // Apply a due misprediction redirect.
             if let Some(p) = &self.pending {
@@ -403,11 +372,7 @@ impl<'t> Simulator<'t> {
                 prof.other_ns += (now - mark.expect("profiling")).as_nanos() as u64;
                 mark = Some(now);
             }
-            let mut limit = self
-                .config
-                .max_cycles
-                .min(self.watchdog_cycles)
-                .min((self.cycle | 0xFFF) + 1);
+            let mut limit = self.config.max_cycles.min((self.cycle | 0xFFF) + 1);
             if let Some(p) = &self.pending {
                 limit = limit.min(p.redirect_cycle);
             }
@@ -1334,36 +1299,24 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_budget_stops_at_exactly_the_budget() {
-        let mut sim = countdown_sim(5000, MachineConfig::four_wide());
-        sim.set_watchdog(Some(3500), None);
-        let r = sim.run().unwrap();
-        assert_eq!(r.stop, StopCause::TimedOut);
-        assert_eq!(r.stats.cycles, 3500);
-    }
-
-    #[test]
-    fn far_deadline_leaves_the_run_unchanged() {
-        // The deadline is polled every 4096 cycles at batch entry; a run
-        // spanning several poll windows must match the unwatched run on
-        // every committed bit.
+    fn far_cycle_limit_leaves_the_run_unchanged() {
+        // Batch boundaries fall every 4096 cycles and at the cycle limit;
+        // a run spanning several batches under a far, unaligned limit
+        // must match the default-limit run on every committed bit.
         let free = countdown_sim(20_000, MachineConfig::four_wide())
             .run()
             .unwrap();
-        let mut sim = countdown_sim(20_000, MachineConfig::four_wide());
-        sim.set_watchdog(
-            None,
-            Some(Instant::now() + std::time::Duration::from_secs(3600)),
-        );
-        let watched = sim.run().unwrap();
-        assert_eq!(watched.stop, StopCause::Halted);
+        let mut cfg = MachineConfig::four_wide();
+        cfg.max_cycles = 1_000_003;
+        let limited = countdown_sim(20_000, cfg).run().unwrap();
+        assert_eq!(limited.stop, StopCause::Halted);
         assert!(
-            watched.stats.cycles > 2 * 4096,
-            "spans several poll windows"
+            limited.stats.cycles > 2 * 4096,
+            "spans several batch windows"
         );
-        assert_eq!(watched.stats, free.stats);
-        assert_eq!(watched.regs, free.regs);
-        assert_eq!(watched.memory.written_words(), free.memory.written_words());
+        assert_eq!(limited.stats, free.stats);
+        assert_eq!(limited.regs, free.regs);
+        assert_eq!(limited.memory.written_words(), free.memory.written_words());
     }
 }
 

@@ -99,7 +99,7 @@ pub struct BenchmarkSpec {
     /// Per-REF-input bias perturbation (absolute, e.g. 0.05).
     pub bias_jitter: f64,
     /// Route each join block's shared work through a called helper
-    /// function (exercises call/return and the 64-entry RAS).
+    /// function (exercises call/return).
     pub use_calls: bool,
     /// Master seed.
     pub seed: u64,

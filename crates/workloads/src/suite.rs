@@ -1050,7 +1050,7 @@ fn apply_chase(mut specs: Vec<BenchmarkSpec>) -> Vec<BenchmarkSpec> {
             spec.succ_depends_on_cond = true;
         }
         // Call-heavy programs route join work through a helper function,
-        // exercising call/return and the RAS.
+        // exercising call/return.
         spec.use_calls = matches!(
             spec.name.as_str(),
             "gamess" | "tonto" | "povray" | "eon" | "perlbmk"

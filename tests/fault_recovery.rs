@@ -69,7 +69,7 @@ fn hang_is_cancelled_by_the_watchdog() {
 }
 
 #[test]
-fn worker_panic_recovers_via_retry() {
+fn worker_panic_is_contained_to_its_job() {
     assert_class_contained(FaultClass::WorkerPanic);
 }
 
